@@ -18,9 +18,10 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import InvalidArgumentError, ParseError
-from .linalg import pairwise_sum
+from .linalg import HERMITIZE_TOL, PIVOT_RATIO_MIN, pairwise_sum
 from .phase_space import Presentation, build_standard
 from .quasifree import (
+    HALF_EIGENVALUE_TOL,
     QuasifreeForm,
     chi,
     double,
@@ -192,10 +193,18 @@ class FamilyConfig:
 
 @dataclass(frozen=True)
 class ModeFamily:
-    """Lazily generated sequence of independent per-mode form pairs."""
+    """Sequence of independent per-mode form pairs.
+
+    ``block(k)`` builds the pair of one mode.  ``stacked``, when given, maps
+    an array of mode indices to the diagonals of the blocks' two-point
+    matrices Sigma and Sigma', each stacked into an (n, d) array; it is for
+    families whose blocks are diagonal forms on the standard Diagonal space,
+    and lets classify_family evaluate them without building any form.
+    """
 
     block: Callable[[int], tuple[QuasifreeForm, QuasifreeForm]]
     n_max: int
+    stacked: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
     def pair(self, k: int):
         if not (1 <= k <= self.n_max):
@@ -268,106 +277,215 @@ def classify_family(family: ModeFamily, config: FamilyConfig | None = None,
                     threads: int = 1) -> Verdict:
     """Evaluate every block and reduce deterministically.
 
-    Blocks are independent; with several workers the per-block results are
-    gathered in index order and reduced by a fixed pairwise tree, so the
-    verdict does not depend on the worker count.
+    Families with ``stacked`` blocks are evaluated in one batched pass, a
+    bounded chunk of mode indices at a time; other families call the
+    per-pair functions block by block.  ``threads`` must be at least 1 and
+    changes nothing: the work runs in the calling thread, so the verdict
+    cannot depend on it.  A failing block raises InvalidArgumentError naming
+    the first such k.
     """
+    if threads < 1:
+        raise InvalidArgumentError("threads must be at least 1")
     config = config or FamilyConfig()
-    ks = list(range(1, family.n_max + 1))
-
-    def one(k: int):
-        try:
-            f, g = family.pair(k)
-            a, b = norm_equivalence_bounds(f, g)
-            return hs_discriminant(f, g), a, b
-        except Exception as exc:
-            raise InvalidArgumentError(f"block {k} failed: {exc}") from exc
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, ks))
+    n = family.n_max
+    if family.stacked is None:
+        rows = [_pair_evidence(family, k) for k in range(1, n + 1)]
+        t, alpha, beta = ([row[i] for row in rows] for i in range(3))
     else:
-        rows = [one(k) for k in ks]
-    evidence = {
-        "k": ks,
-        "t": [r[0] for r in rows],
-        "alpha": [r[1] for r in rows],
-        "beta": [r[2] for r in rows],
-    }
+        rows = np.empty((3, n))
+        # chunks bound the memory of the stacked temporaries
+        for start in range(1, n + 1, _CHUNK_BLOCKS):
+            ks = np.arange(start, min(start + _CHUNK_BLOCKS, n + 1))
+            t, alpha, beta, fail = _diag_evidence(*family.stacked(ks))
+            bad = np.flatnonzero(fail)
+            if bad.size:
+                raise InvalidArgumentError(
+                    f"block {ks[bad[0]]} failed: {_BLOCK_FAILURES[fail[bad[0]]]}")
+            rows[:, ks - 1] = t, alpha, beta
+        t, alpha, beta = rows.tolist()
+    evidence = {"k": list(range(1, n + 1)), "t": t, "alpha": alpha, "beta": beta}
     return verdict_from_evidence(evidence, config)
 
 
-_ALLOWED_FUNCS = {"sqrt": np.sqrt, "log": np.log, "exp": np.exp, "abs": abs}
+def _pair_evidence(family: ModeFamily, k: int):
+    try:
+        f, g = family.pair(k)
+        a, b = norm_equivalence_bounds(f, g)
+        return hs_discriminant(f, g), a, b
+    except Exception as exc:
+        raise InvalidArgumentError(f"block {k} failed: {exc}") from exc
 
 
-def mode_expression(text: str) -> Callable[[int], float]:
+# Batched evidence of stacked families.  For every block this computes what
+# hs_discriminant and norm_equivalence_bounds compute for one pair, with the
+# same checks.  The blocks have diagonal two-point matrices on the standard
+# Diagonal space, whose conjugation swaps the two basis vectors of each
+# mode, so their Gram matrices are diagonal too.  The arithmetic repeats the
+# complex-dtype steps of the per-pair functions elementwise, so the results
+# are bit-identical to theirs.
+
+_BLOCK_FAILURES = (
+    None,
+    "Sigma has non-finite entries",
+    "state Gram matrix G_S is not positive definite",
+    "matrix is not metric-self-adjoint",
+    "S_op has an eigenvalue too close to 1/2",
+)
+_NON_FINITE, _SINGULAR, _NOT_SELF_ADJOINT, _HALF = 1, 2, 3, 4
+_CHUNK_BLOCKS = 1 << 16
+
+
+def _flag(fail: np.ndarray, bad: np.ndarray, code: int) -> None:
+    """Record ``code`` for the blocks in ``bad`` that have not failed yet."""
+    fail[(fail == 0) & bad] = code
+
+
+def _stacked_chi(vals: np.ndarray) -> np.ndarray:
+    """quasifree.chi_values for each row of a stack of spectra."""
+    d = vals.shape[-1]
+    order = np.argsort(vals, axis=-1, kind="stable")
+    rank = np.arange(d)
+    small = np.take_along_axis(vals, order[:, np.minimum(rank, d - 1 - rank)], axis=-1)
+    small = np.where(0.0 > small, 0.0, small)
+    small = np.where(0.5 < small, 0.5, small)
+    a = np.sqrt(small)
+    b = np.sqrt(1.0 - small)
+    out = np.empty_like(vals)
+    np.put_along_axis(out, order, np.where(b > a, np.log(b + a) - np.log(b - a), np.inf),
+                      axis=-1)
+    return out
+
+
+def _diag_form(sd, fail):
+    """Gram diagonal, its square root and the clamped S_op spectrum of forms
+    with diagonal Sigma (rows of ``sd``), with the checks of MetricCalculus
+    and of the spectrum near 1/2."""
+    swap = np.arange(sd.shape[1]) ^ 1
+    x = sd + np.conj(sd[:, swap])
+    gram = (0.5 * (x + np.conj(x))).real
+    root = np.sqrt(gram)
+    pivots = root * root
+    _flag(fail, ~(gram > 0.0).all(axis=1)
+          | (pivots.min(axis=1) <= PIVOT_RATIO_MIN * pivots.max(axis=1)), _SINGULAR)
+    tilde = (root * (sd / gram)) / root
+    # MetricCalculus.to_hermitian's residual test
+    res = np.sqrt((np.abs(tilde - np.conj(tilde)) ** 2).sum(axis=1))
+    scale = np.maximum(1.0, np.sqrt((np.abs(tilde) ** 2).sum(axis=1)))
+    _flag(fail, ~(res <= HERMITIZE_TOL * scale), _NOT_SELF_ADJOINT)
+    vals = np.clip((0.5 * (tilde + np.conj(tilde))).real, 0.0, 1.0)
+    _flag(fail, (np.abs(vals - 0.5) < HALF_EIGENVALUE_TOL).any(axis=1), _HALF)
+    return gram, root, vals
+
+
+def _diag_evidence(sd, sd_o):
+    """(t, alpha, beta, fail) for stacked blocks given by the diagonals of
+    Sigma and Sigma'.
+
+    ``fail`` holds 0 for a good block and otherwise the index in
+    _BLOCK_FAILURES of its first failed check, taken in the order the
+    per-pair functions run them.
+    """
+    fail = np.zeros(len(sd), dtype=np.intp)
+    finite = np.isfinite(sd).all(axis=1) & np.isfinite(sd_o).all(axis=1)
+    _flag(fail, ~finite, _NON_FINITE)
+    with np.errstate(all="ignore"):
+        gram, root, vals = _diag_form(sd, fail)
+        gram_o, root_o, vals_o = _diag_form(sd_o, fail)
+        left = np.sign(2.0 * vals - 1.0) * np.exp(-_stacked_chi(vals))
+        right = np.exp(_stacked_chi(vals_o)) * np.sign(2.0 * vals_o - 1.0)
+        left = (left.astype(complex) / root) * root
+        right = (right.astype(complex) / root_o) * root_o
+        m = 1.0 - left * right
+        t = (((np.conj(m) * gram) * m) / gram).sum(axis=1).real
+        ratio = np.sort(gram_o / gram, axis=1)
+        # max(x, 0.0) as the per-pair functions take it, signed zeros included
+        t = np.where(0.0 > t, 0.0, t)
+        alpha = np.sqrt(np.where(0.0 > ratio[:, 0], 0.0, ratio[:, 0]))
+        beta = np.sqrt(np.where(0.0 > ratio[:, -1], 0.0, ratio[:, -1]))
+    return t, alpha, beta, fail
+
+
+_BINARY_OPS = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply,
+               ast.Div: np.divide, ast.Pow: np.power}
+_ALLOWED_FUNCS = {"sqrt": np.sqrt, "log": np.log, "exp": np.exp, "abs": np.abs}
+
+
+def _compile_node(node):
+    """Validate one AST node and turn it into a function of the k array."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+        try:
+            value = float(node.value)
+        except OverflowError:  # integer literal beyond the float range
+            value = float("inf")
+        return lambda k: value
+    if isinstance(node, ast.Name) and node.id == "k":
+        return lambda k: k
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
+        op = _BINARY_OPS[type(node.op)]
+        left, right = _compile_node(node.left), _compile_node(node.right)
+        return lambda k: op(left(k), right(k))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        operand = _compile_node(node.operand)
+        if isinstance(node.op, ast.UAdd):
+            return operand
+        return lambda k: np.negative(operand(k))
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+            and node.func.id in _ALLOWED_FUNCS and len(node.args) == 1 \
+            and not node.keywords:
+        fn = _ALLOWED_FUNCS[node.func.id]
+        arg = _compile_node(node.args[0])
+        return lambda k: fn(arg(k))
+    raise ParseError(f"disallowed construct in expression: {ast.dump(node)}")
+
+
+def mode_expression(text: str) -> Callable:
     """Compile the restricted per-mode parameter language.
 
     Numbers, the variable k, + - * / **, unary minus and sqrt/log/exp/abs;
-    anything else is a parse error.
+    anything else is a parse error.  The result takes a scalar k, giving a
+    float, or an array of k, giving an array of the same shape.  Both run
+    the same numpy operations, so each element equals the scalar value bit
+    for bit.  Poles and domain errors give inf or nan rather than raising.
     """
     try:
         tree = ast.parse(str(text), mode="eval")
     except SyntaxError as exc:
         raise ParseError(f"bad expression {text!r}: {exc}") from exc
+    body = _compile_node(tree.body)
 
-    def _validate(node):
-        if isinstance(node, ast.Expression):
-            return _validate(node.body)
-        if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-            return
-        if isinstance(node, ast.Name) and node.id == "k":
-            return
-        if isinstance(node, ast.BinOp) and isinstance(
-            node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
-        ):
-            _validate(node.left)
-            _validate(node.right)
-            return
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-            _validate(node.operand)
-            return
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-                and node.func.id in _ALLOWED_FUNCS and len(node.args) == 1 \
-                and not node.keywords:
-            _validate(node.args[0])
-            return
-        raise ParseError(f"disallowed construct in expression: {ast.dump(node)}")
+    def evaluate(k):
+        ks = np.asarray(k, dtype=float)
+        with np.errstate(all="ignore"):
+            vals = body(ks.reshape(-1))
+        vals = np.broadcast_to(np.asarray(vals, dtype=float), (ks.size,))
+        if ks.ndim == 0:
+            return float(vals[0])
+        return vals.reshape(ks.shape).copy()
 
-    _validate(tree)
+    return evaluate
 
-    def ev(node, k):
-        if isinstance(node, ast.Expression):
-            return ev(node.body, k)
-        if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-            return float(node.value)
-        if isinstance(node, ast.Name) and node.id == "k":
-            return float(k)
-        if isinstance(node, ast.BinOp) and isinstance(
-            node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
-        ):
-            a, b = ev(node.left, k), ev(node.right, k)
-            if isinstance(node.op, ast.Add):
-                return a + b
-            if isinstance(node.op, ast.Sub):
-                return a - b
-            if isinstance(node.op, ast.Mult):
-                return a * b
-            if isinstance(node.op, ast.Div):
-                return a / b
-            return a ** b
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-            v = ev(node.operand, k)
-            return -v if isinstance(node.op, ast.USub) else v
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-                and node.func.id in _ALLOWED_FUNCS and len(node.args) == 1 \
-                and not node.keywords:
-            return float(_ALLOWED_FUNCS[node.func.id](ev(node.args[0], k)))
-        raise ParseError(f"disallowed construct in expression: {ast.dump(node)}")
 
-    return lambda k: float(ev(tree, k))
+def _sinh_squared(tau: np.ndarray) -> np.ndarray:
+    """sinh(tau)**2 elementwise, bit-identical to the scalar ``np.sinh(t)**2``.
+
+    A numpy float64 scalar squares through the C library's pow, which
+    differs from the vectorised x*x in the last bit for roughly one value in
+    a thousand; the builtin pow calls the same C function.  It raises where
+    the square leaves the float range, so values from 1.3e154 up keep x*x;
+    from 1.35e154 on both give inf.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.sinh(tau)
+        out = s * s
+    small = np.abs(s) < 1.3e154
+    vals = s[small].tolist()
+    out[small] = np.fromiter(map(pow, vals, [2.0] * len(vals)), float, len(vals))
+    return out
+
+
+def _thermal_diagonals(nu: np.ndarray) -> np.ndarray:
+    """Stacked diagonals (1 + nu, nu) of one-mode thermal_form Sigmas."""
+    return np.stack([1.0 + nu, nu], axis=1).astype(complex)
 
 
 def family_from_json(data: dict) -> ModeFamily:
@@ -395,7 +513,11 @@ def family_from_json(data: dict) -> ModeFamily:
             nu_p = float(np.sinh(tau_p(k)) ** 2)
             return thermal_form(space, nu), thermal_form(space, nu_p)
 
-        return ModeFamily(block=block, n_max=n_max)
+        def stacked(ks: np.ndarray):
+            return (_thermal_diagonals(_sinh_squared(tau(ks))),
+                    _thermal_diagonals(_sinh_squared(tau_p(ks))))
+
+        return ModeFamily(block=block, n_max=n_max, stacked=stacked)
     if kind == "explicit":
         from .serialize import decode_form
 

@@ -5,9 +5,12 @@ Structured output is JSON with complex numbers as [re, im]; per-mode series
 go to CSV.  Exit codes: 0 pass/equivalent, 1 math-invalid, 2 parse,
 3 inequivalent, 4 inconclusive, 5 insufficient cutoff.
 
-Reports are byte-deterministic for a fixed (inputs, config, seed): worker
-threads only parallelize independent blocks whose results are gathered in
-index order, so --threads never changes an emitted number.
+Reports are byte-deterministic for a fixed (inputs, config, seed).
+`classify` evaluates all blocks of a thermal_pair family in one batched
+pass, and explicit families block by block, in the calling thread.
+--threads (default QFSP_THREADS, else 1) is accepted and must be at least 1,
+but the thread count changes nothing in any command, so reports are
+byte-identical for every value.
 """
 
 from __future__ import annotations
@@ -317,12 +320,12 @@ def cmd_classify(family_path, config: RunConfig) -> int:
     if config.out:
         csv_path = (config.out[:-5] if config.out.endswith(".json")
                     else config.out) + ".csv"
-        partial = np.cumsum(ev["t"])
+        rows = zip(ev["k"], ev["t"], np.cumsum(ev["t"]).tolist(), ev["alpha"],
+                   ev["beta"])
         with open(csv_path, "w", encoding="utf-8") as fh:
             fh.write("k,t_k,partial_sum,alpha_k,beta_k\n")
-            for i, k in enumerate(ev["k"]):
-                fh.write(f"{k},{float(ev['t'][i])!r},{float(partial[i])!r},"
-                         f"{float(ev['alpha'][i])!r},{float(ev['beta'][i])!r}\n")
+            fh.writelines(f"{k},{float(t)!r},{p!r},{float(a)!r},{float(b)!r}\n"
+                          for k, t, p, a, b in rows)
     return verdict.exit_code()
 
 
@@ -387,7 +390,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=1e-6)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: QFSP_THREADS or 1)")
+                       help="accepted for compatibility, must be >= 1 "
+                            "(default: QFSP_THREADS or 1); classify runs in "
+                            "the calling thread, so the value changes no "
+                            "report")
         p.add_argument("--out", type=str, default=None,
                        help="write the JSON report here instead of stdout")
         p.add_argument("--bruteforce", action="store_true",

@@ -22,7 +22,15 @@ __all__ = [
     "self_adjointness_residual",
     "MetricCalculus",
     "pairwise_sum",
+    "HERMITIZE_TOL",
+    "PIVOT_RATIO_MIN",
 ]
+
+# a metric whose smallest Cholesky pivot is at most this fraction of the
+# largest is treated as singular
+PIVOT_RATIO_MIN = 1e-14
+# relative residual allowed when hermitizing a metric-self-adjoint matrix
+HERMITIZE_TOL = 1e-8
 
 
 def adjoint(a: np.ndarray, metric: np.ndarray) -> np.ndarray:
@@ -67,7 +75,7 @@ class MetricCalculus:
     pulled back.
     """
 
-    def __init__(self, metric: np.ndarray, hermitize_tol: float = 1e-8):
+    def __init__(self, metric: np.ndarray, hermitize_tol: float = HERMITIZE_TOL):
         metric = np.asarray(metric, dtype=complex)
         if np.linalg.norm(metric - metric.conj().T) > 1e-10 * max(
             1.0, np.abs(metric).max()
@@ -78,7 +86,7 @@ class MetricCalculus:
         except np.linalg.LinAlgError as exc:
             raise DegenerateFormError("metric is not positive definite") from exc
         pivots = np.abs(np.diag(self.lower)) ** 2
-        if pivots.min() <= 1e-14 * pivots.max():
+        if pivots.min() <= PIVOT_RATIO_MIN * pivots.max():
             raise DegenerateFormError(
                 "metric is numerically singular "
                 f"(pivot ratio {pivots.min() / pivots.max():.3e})"
@@ -176,15 +184,17 @@ class MetricCalculus:
 
 
 def pairwise_sum(values) -> float:
-    """Sum by a fixed-topology pairwise tree; bit-identical for a fixed order."""
-    vals = list(values)
-    if not vals:
+    """Sum by a fixed-topology pairwise tree; bit-identical for a fixed order.
+
+    Each level adds neighbours (v0 + v1, v2 + v3, ...) and carries an odd
+    last value up unchanged, so the tree depends on the length alone.
+    """
+    vals = np.asarray(values, dtype=float)
+    if vals.size == 0:
         return 0.0
-    while len(vals) > 1:
-        nxt = []
-        for i in range(0, len(vals) - 1, 2):
-            nxt.append(vals[i] + vals[i + 1])
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    return vals[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        while vals.size > 1:
+            even = vals.size - vals.size % 2
+            level = vals[0:even:2] + vals[1:even:2]
+            vals = np.concatenate([level, vals[even:]]) if even < vals.size else level
+    return float(vals[0])

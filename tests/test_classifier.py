@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qfsp import (
     FamilyConfig,
@@ -15,6 +16,7 @@ from qfsp import (
 from qfsp.classifier import ModeFamily, mode_expression, verdict_from_evidence
 from qfsp.errors import ParseError
 from qfsp.quasifree import (
+    QuasifreeForm,
     direct_sum_form,
     fock_form,
     thermal_form,
@@ -264,3 +266,104 @@ def test_explicit_family_kind(diag1):
                             "n_max": 2})
     f, g = fam.pair(1)
     assert hs_discriminant(f, g) <= 1e-12
+
+
+def _same_bits(a, b) -> bool:
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    same = (a.view(np.int64) == b.view(np.int64)) | (np.isnan(a) & np.isnan(b))
+    return a.shape == b.shape and bool(same.all())
+
+
+def _pair_oracle(fam):
+    """Per-block evidence from the per-pair functions, one block at a time."""
+    rows = []
+    for k in range(1, fam.n_max + 1):
+        f, g = fam.pair(k)
+        rows.append((hs_discriminant(f, g), *norm_equivalence_bounds(f, g)))
+    return [list(col) for col in zip(*rows)]
+
+
+@pytest.mark.parametrize("tau, tau_prime", [
+    ("1/k", "0"), ("1/sqrt(k)", "0"), ("0", "0.3"), ("1/k**2", "0"),
+    ("8", "0"), ("0", "8"),
+])
+def test_batched_evidence_matches_pair_oracle(tau, tau_prime):
+    fam = family_from_json({
+        "generator": {"kind": "thermal_pair", "tau": tau, "tau_prime": tau_prime},
+        "n_max": 10000,
+    })
+    ev = classify_family(fam).evidence
+    t, alpha, beta = _pair_oracle(fam)
+    assert _same_bits(ev["t"], t)
+    assert _same_bits(ev["alpha"], alpha)
+    assert _same_bits(ev["beta"], beta)
+
+
+def test_explicit_family_evidence_matches_pair_oracle(diag2, rng):
+    from qfsp.serialize import encode_complex_matrix, encode_phase_space
+
+    blocks = []
+    for _ in range(40):  # thermal pairs moved by one random real symplectic map
+        u = random_kappa_real(diag2, rng)
+        f = transport_form(thermal_form(diag2, rng.uniform(0.1, 2.0, 2)), u)
+        g = transport_form(thermal_form(diag2, rng.uniform(0.1, 2.0, 2)), u)
+        blocks.append({"space": encode_phase_space(f.space),
+                       "Sigma": encode_complex_matrix(f.sigma),
+                       "Sigma_prime": encode_complex_matrix(g.sigma)})
+    fam = family_from_json({"generator": {"kind": "explicit", "blocks": blocks},
+                            "n_max": len(blocks)})
+    gram = fam.pair(1)[0].gram
+    assert np.abs(gram - np.diag(np.diag(gram))).max() > 0.1  # not diagonal
+    ev = classify_family(fam).evidence
+    t, alpha, beta = _pair_oracle(fam)
+    np.testing.assert_allclose(ev["t"], t, rtol=1e-12)
+    np.testing.assert_allclose(ev["alpha"], alpha, rtol=1e-12)
+    np.testing.assert_allclose(ev["beta"], beta, rtol=1e-12)
+
+
+def test_family_first_failing_block_wins(diag1):
+    def block(k):
+        if k == 4:
+            raise ValueError("cannot build")
+        if k == 2:  # G_S = 0 is not positive definite
+            return fock_form(diag1), QuasifreeForm(diag1, np.zeros((2, 2)))
+        return fock_form(diag1), thermal_form(diag1, 0.5)
+
+    with pytest.raises(InvalidArgumentError, match="block 2 failed"):
+        classify_family(ModeFamily(block=block, n_max=6))
+    with pytest.raises(InvalidArgumentError, match="block 4 failed: cannot build"):
+        classify_family(ModeFamily(
+            block=lambda k: block(k) if k != 2 else block(1), n_max=6))
+    with pytest.raises(InvalidArgumentError, match="threads"):
+        classify_family(ModeFamily(block=block, n_max=1), threads=0)
+
+
+_LEAVES = st.one_of(
+    st.just("k"),
+    st.integers(0, 9).map(str),
+    st.floats(0.05, 5.0).map(lambda x: repr(round(x, 3))),
+)
+
+
+def _expression_nodes(children):
+    return st.one_of(
+        st.tuples(children, st.sampled_from(["+", "-", "*", "/", "**"]), children)
+        .map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        children.map(lambda c: f"(-{c})"),
+        st.tuples(st.sampled_from(["sqrt", "log", "exp", "abs"]), children)
+        .map(lambda t: f"{t[0]}({t[1]})"),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_LEAVES, _expression_nodes, max_leaves=8))
+def test_mode_expression_array_matches_scalar(text):
+    fn = mode_expression(text)
+    # 37 values, so vectorised loops also run their remainder paths
+    ks = np.concatenate([np.arange(1.0, 34.0), [100.0, 999.0, 1e4, 1e6]])
+    values = fn(ks)
+    assert values.shape == ks.shape and values.dtype == float
+    scalars = [fn(int(k)) for k in ks]
+    assert all(type(v) is float for v in scalars)
+    assert _same_bits(values, scalars)

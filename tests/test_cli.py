@@ -4,6 +4,11 @@ import os
 import numpy as np
 import pytest
 
+from qfsp.classifier import (
+    family_from_json,
+    hs_discriminant,
+    norm_equivalence_bounds,
+)
 from qfsp.cli import main
 from qfsp.quasifree import QuasifreeForm, fock_form, thermal_form
 from qfsp.serialize import (
@@ -174,3 +179,46 @@ def test_version_and_bad_config(inputs, capsys):
         main(["--version"])
     assert main(["validate", inputs["thermal.json"], "--tol", "-1"]) == 2
     assert main(["validate", inputs["thermal.json"], "--cutoff", "2"]) == 2
+
+
+def test_classify_csv_matches_pair_oracle(tmp_path):
+    description = {"generator": {"kind": "thermal_pair", "tau": "1/k",
+                                 "tau_prime": "0"}, "n_max": 500}
+    fam_path = str(tmp_path / "family.json")
+    dump_json(description, fam_path)
+    out = str(tmp_path / "verdict.json")
+    assert main(["classify", fam_path, "--out", out]) in (0, 3, 4)
+    fam = family_from_json(description)
+    rows = []
+    for k in range(1, fam.n_max + 1):
+        f, g = fam.pair(k)
+        rows.append((k, hs_discriminant(f, g), *norm_equivalence_bounds(f, g)))
+    partial = np.cumsum([r[1] for r in rows])
+    expect = "k,t_k,partial_sum,alpha_k,beta_k\n" + "".join(
+        f"{k},{t!r},{float(p)!r},{a!r},{b!r}\n"
+        for (k, t, a, b), p in zip(rows, partial))
+    assert open(str(tmp_path / "verdict.csv")).read() == expect
+
+
+@pytest.mark.parametrize("tau, block", [
+    ("1/(k-3)", 3), ("log(k-2)", 1), ("sqrt(2-k)", 3), ("(-1)**(1/k)", 2),
+    ("exp(1000/k)", 1),
+])
+def test_classify_reports_first_failing_block(tmp_path, capsys, tau, block):
+    fam_path = str(tmp_path / "family.json")
+    dump_json({"generator": {"kind": "thermal_pair", "tau": tau,
+                             "tau_prime": "0"}, "n_max": 10}, fam_path)
+    assert main(["classify", fam_path]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error.startswith(f"block {block} failed: ")
+
+
+def test_classify_overflowing_power_is_infinite(tmp_path, capsys):
+    # k**400 leaves the float range from k = 6 on; it evaluates to inf, so
+    # tau = 1/k**400 is 0 there and every block classifies
+    fam_path = str(tmp_path / "family.json")
+    dump_json({"generator": {"kind": "thermal_pair", "tau": "1/k**400",
+                             "tau_prime": "0"}, "n_max": 10}, fam_path)
+    assert main(["classify", fam_path]) == 4
+    report = json.loads(capsys.readouterr().out)
+    assert report["outcome"] == "Inconclusive"

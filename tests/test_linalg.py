@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qfsp.errors import DegenerateFormError
 from qfsp.linalg import (
@@ -96,3 +97,39 @@ def test_pairwise_sum_matches_plain_sum():
     vals = list(rng.normal(size=101))
     assert pairwise_sum(vals) == pytest.approx(sum(vals), rel=1e-12)
     assert pairwise_sum([]) == 0.0
+
+
+def _list_pairwise_sum(values):
+    """The list-based tree pairwise_sum replaced, kept as its bitwise oracle."""
+    vals = list(values)
+    if not vals:
+        return 0.0
+    while len(vals) > 1:
+        nxt = [vals[i] + vals[i + 1] for i in range(0, len(vals) - 1, 2)]
+        if len(vals) % 2:
+            nxt.append(vals[-1])
+        vals = nxt
+    return vals[0]
+
+
+def _bits(x: float) -> int:
+    return int(np.array([x], dtype=float).view(np.int64)[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False), max_size=70))
+def test_pairwise_sum_bitwise_matches_list_tree(values):
+    got = pairwise_sum(values)
+    want = _list_pairwise_sum(values)
+    assert type(got) is float
+    assert _bits(got) == _bits(want) or (np.isnan(got) and np.isnan(want))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.sampled_from([0, 1, 2, 3, 1023, 1025, 65537]),
+                 st.integers(0, 20000)),
+       st.integers(0, 2**32 - 1))
+def test_pairwise_sum_bitwise_large(n, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(n) * np.exp(rng.uniform(-30.0, 30.0, n))
+    assert _bits(pairwise_sum(values)) == _bits(_list_pairwise_sum(values.tolist()))
