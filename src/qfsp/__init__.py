@@ -33,7 +33,6 @@ from .quasifree import (
     fock_form,
     moment,
     rho,
-    s_operator,
     spectral_split,
     symplectic_complement,
     thermal_form,

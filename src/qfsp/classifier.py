@@ -23,12 +23,12 @@ from .phase_space import Presentation, build_standard
 from .quasifree import (
     HALF_EIGENVALUE_TOL,
     QuasifreeForm,
-    chi,
+    _require_half_free,
+    chi_values,
     double,
-    rho,
     thermal_form,
 )
-from .implementers import _angle_data
+from .implementers import vacuum_overlap
 
 __all__ = [
     "norm_equivalence_bounds",
@@ -55,13 +55,11 @@ def norm_equivalence_bounds(form: QuasifreeForm, other: QuasifreeForm):
     """
     if form.space.dim != other.space.dim:
         raise InvalidArgumentError("forms live on different spaces")
-    ga, gb = other.gram, form.gram
-    if np.abs(ga - np.diag(np.diag(ga))).max() == 0.0 and \
-            np.abs(gb - np.diag(np.diag(gb))).max() == 0.0:
-        ratio = np.diag(ga).real / np.diag(gb).real
-        vals = np.sort(ratio)
+    ga, gb = other.calculus.diag, form.calculus.diag
+    if ga is not None and gb is not None:
+        vals = np.sort(ga / gb)
     else:
-        vals = sla.eigvalsh(ga, gb)
+        vals = sla.eigvalsh(other.gram, form.gram)
     return float(np.sqrt(max(vals[0], 0.0))), float(np.sqrt(max(vals[-1], 0.0)))
 
 
@@ -71,8 +69,6 @@ def discriminant(form: QuasifreeForm, other: QuasifreeForm) -> np.ndarray:
     rho e^{-chi} and e^{chi} rho are single operator functions of S_op and
     S'_op, so each factor comes from one cached eigendecomposition.
     """
-    from .quasifree import _require_half_free, HALF_EIGENVALUE_TOL, chi_values
-
     for f in (form, other):
         _require_half_free(f, HALF_EIGENVALUE_TOL)
     eye = np.eye(form.space.dim)
@@ -88,11 +84,11 @@ def discriminant(form: QuasifreeForm, other: QuasifreeForm) -> np.ndarray:
 def hs_discriminant(form: QuasifreeForm, other: QuasifreeForm) -> float:
     """Squared Hilbert-Schmidt norm of the discriminant in the G_S metric."""
     m = discriminant(form, other)
-    gram = form.gram
-    if np.abs(gram - np.diag(np.diag(gram))).max() == 0.0:
-        diag = np.diag(gram).real
+    diag = form.calculus.diag
+    if diag is not None:
         val = np.trace((m.conj().T * diag[None, :]) @ m / diag[:, None])
     else:
+        gram = form.gram
         val = np.trace(np.linalg.solve(gram, m.conj().T @ gram @ m))
     return float(max(val.real, 0.0))
 
@@ -101,9 +97,9 @@ def state_distance_lower_bound(form: QuasifreeForm, other: QuasifreeForm,
                                interior_tol: float = 1e-9) -> float:
     """2 (1 - det over the doubled range of (P P' P)^(-1/4)).
 
-    Both spectra must lie strictly inside (0, 1); the determinant is taken
-    through the doubled angle operator, whose cosh restricted to the doubled
-    range reproduces P P' P.
+    Both spectra must lie strictly inside (0, 1); the determinant is the
+    vacuum overlap of the two doubled forms, whose angle operator's cosh
+    restricted to the doubled range reproduces P P' P.
     """
     for f in (form, other):
         vals, _ = f.s_eig
@@ -111,17 +107,8 @@ def state_distance_lower_bound(form: QuasifreeForm, other: QuasifreeForm,
             raise InvalidArgumentError(
                 "state distance bound requires 0 < S < 1 on both sides"
             )
-    hat = double(form).hat_form
-    hat_other = double(other).hat_form
-    vals, vecs = _angle_data(hat, hat_other, 1e-12)
-    th_vals = np.arcsinh(np.sqrt(vals))
-    s_vals, s_vecs = hat.s_eig
-    range_vecs = s_vecs[:, s_vals > 0.5]
-    th_herm = (vecs * th_vals) @ vecs.conj().T
-    th_range = range_vecs.conj().T @ th_herm @ range_vecs
-    mu = np.linalg.eigvalsh(0.5 * (th_range + th_range.conj().T))
-    det = float(np.prod(1.0 / np.sqrt(np.cosh(mu))))
-    return 2.0 * (1.0 - det)
+    hat, hat_other = double(form).hat_form, double(other).hat_form
+    return 2.0 * (1.0 - vacuum_overlap(hat, hat_other))
 
 
 @dataclass(frozen=True)
@@ -133,17 +120,6 @@ class PairReport:
     classification: str
     classification_other: str
     projection_mismatch: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "hs_discriminant": self.hs_value,
-            "hs_discriminant_mirrored": self.hs_value_mirrored,
-            "classification": self.classification,
-            "classification_other": self.classification_other,
-            "projection_mismatch": self.projection_mismatch,
-        }
 
 
 def classify_pair(form: QuasifreeForm, other: QuasifreeForm,
@@ -238,7 +214,7 @@ def verdict_from_evidence(evidence: dict, config: FamilyConfig) -> Verdict:
     alphas = np.asarray(evidence["alpha"], dtype=float)
     betas = np.asarray(evidence["beta"], dtype=float)
     n = len(t)
-    total = pairwise_sum(list(t))
+    total = pairwise_sum(t)
     partial = np.cumsum(t)
     ks = np.arange(1, n + 1, dtype=float)
     window = max(int(np.ceil(n * config.slope_window_frac)), 1)

@@ -28,8 +28,6 @@ from .classifier import (
     FamilyConfig,
     classify_family,
     family_from_json,
-    norm_equivalence_bounds,
-    hs_discriminant,
 )
 from .fock import build_fock, field_operator
 from .implementers import (

@@ -86,9 +86,6 @@ class TruncatedFock:
     def sector_mask(self, max_total: int) -> np.ndarray:
         return self.totals <= max_total
 
-    def sector_projector(self, max_total: int) -> np.ndarray:
-        return np.diag(self.sector_mask(max_total).astype(float))
-
     @cached_property
     def vacuum(self) -> np.ndarray:
         v = np.zeros(self.dim, dtype=complex)

@@ -169,7 +169,6 @@ def vacuum_overlap(form: QuasifreeForm, other: QuasifreeForm,
     th_vals = np.arcsinh(np.sqrt(vals))
     # restrict to the range of S_op: theta commutes with S_op, so project the
     # hermitian-side eigenvectors of S_op and diagonalize theta there
-    calc = form.calculus
     s_vals, s_vecs = form.s_eig
     range_vecs = s_vecs[:, s_vals > 0.5]
     th_herm = (vecs * th_vals) @ vecs.conj().T

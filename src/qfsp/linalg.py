@@ -19,7 +19,6 @@ __all__ = [
     "adjoint",
     "hs_norm",
     "op_norm",
-    "self_adjointness_residual",
     "MetricCalculus",
     "pairwise_sum",
     "HERMITIZE_TOL",
@@ -39,10 +38,6 @@ def adjoint(a: np.ndarray, metric: np.ndarray) -> np.ndarray:
     Equals ``metric^-1 a* metric``; an involution for hermitian ``metric``.
     """
     return np.linalg.solve(metric, a.conj().T @ metric)
-
-
-def self_adjointness_residual(a: np.ndarray, metric: np.ndarray) -> float:
-    return float(np.linalg.norm(adjoint(a, metric) - a, 2))
 
 
 def hs_norm(a: np.ndarray, metric: np.ndarray) -> float:
@@ -73,9 +68,13 @@ class MetricCalculus:
     when ``A`` is metric-self-adjoint, so eigendecompositions, operator
     functions and spectral projectors are computed on the hermitian side and
     pulled back.
+
+    ``diag`` is the metric's real diagonal when the metric is diagonal, else
+    None; callers take broadcasting fast paths on it instead of testing the
+    metric again.
     """
 
-    def __init__(self, metric: np.ndarray, hermitize_tol: float = HERMITIZE_TOL):
+    def __init__(self, metric: np.ndarray):
         metric = np.asarray(metric, dtype=complex)
         if np.linalg.norm(metric - metric.conj().T) > 1e-10 * max(
             1.0, np.abs(metric).max()
@@ -93,14 +92,14 @@ class MetricCalculus:
             )
         self.metric = metric
         self.dim = metric.shape[0]
-        self.hermitize_tol = hermitize_tol
         # diagonal metrics are common (standard thermal blocks); broadcasting
         # beats triangular solves there
         off = metric - np.diag(np.diag(metric))
         if np.abs(off).max() == 0.0:
-            self._sqrt_diag = np.sqrt(np.diag(metric).real)
+            self.diag = np.diag(metric).real
+            self._sqrt_diag = np.sqrt(self.diag)
         else:
-            self._sqrt_diag = None
+            self.diag = self._sqrt_diag = None
 
     def to_hermitian(self, a: np.ndarray, check: bool = True) -> np.ndarray:
         if self._sqrt_diag is not None:
@@ -111,7 +110,7 @@ class MetricCalculus:
         if check:
             herm_res = np.linalg.norm(tilde - tilde.conj().T)
             scale = max(1.0, np.linalg.norm(tilde))
-            if herm_res > self.hermitize_tol * scale:
+            if herm_res > HERMITIZE_TOL * scale:
                 raise InternalConsistencyError(
                     f"matrix is not metric-self-adjoint (residual {herm_res:.3e})"
                 )
@@ -174,13 +173,6 @@ class MetricCalculus:
 
     def _ip(self, x: np.ndarray, y: np.ndarray) -> complex:
         return complex(x.conj() @ (self.metric @ y))
-
-    def ip(self, x: np.ndarray, y: np.ndarray) -> complex:
-        """Inner product ``x* metric y``."""
-        return self._ip(x, y)
-
-    def norm(self, x: np.ndarray) -> float:
-        return float(np.sqrt(max(self._ip(x, x).real, 0.0)))
 
 
 def pairwise_sum(values) -> float:

@@ -11,6 +11,7 @@ the two copies through Gamma and second-quantizes antilinearly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -116,16 +117,24 @@ class ModularData:
     conjugation: FockOperator
     fock: TruncatedFock
 
-    def delta_power(self, z: float) -> np.ndarray:
-        """exp(-z Theta) through the hermitian eigendecomposition."""
+    @cached_property
+    def _theta_eigh(self):
+        """Eigendecomposition of the hermitized generator, taken once."""
         theta = self.generator.matrix
-        vals, vecs = np.linalg.eigh(0.5 * (theta + theta.conj().T))
-        return (vecs * np.exp(-z * vals)) @ vecs.conj().T
+        return np.linalg.eigh(0.5 * (theta + theta.conj().T))
+
+    def _theta_fn(self, c) -> np.ndarray:
+        """exp(c Theta) through the cached eigendecomposition."""
+        vals, vecs = self._theta_eigh
+        return (vecs * np.exp(c * vals)) @ vecs.conj().T
+
+    def delta_power(self, z: float) -> np.ndarray:
+        """Delta^z = exp(-z Theta)."""
+        return self._theta_fn(-z)
 
     def delta_unitary(self, t: float) -> np.ndarray:
-        theta = self.generator.matrix
-        vals, vecs = np.linalg.eigh(0.5 * (theta + theta.conj().T))
-        return (vecs * np.exp(-1j * t * vals)) @ vecs.conj().T
+        """Delta^{it} = exp(-i t Theta)."""
+        return self._theta_fn(-1j * t)
 
 
 def build_modular(dd: DoubledSpace, fk: TruncatedFock,

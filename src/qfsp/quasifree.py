@@ -27,7 +27,6 @@ __all__ = [
     "QuasifreeForm",
     "DoubledSpace",
     "validate_form",
-    "s_operator",
     "spectral_split",
     "chi",
     "rho",
@@ -75,12 +74,12 @@ class QuasifreeForm:
 
     @cached_property
     def s_op(self) -> np.ndarray:
-        gram = self.gram
-        off = gram - np.diag(np.diag(gram))
-        if np.abs(off).max() == 0.0:
-            out = self.sigma / np.diag(gram).real[:, None]
+        """Induced operator S_op = G_S^-1 Sigma; raises if G_S is degenerate."""
+        diag = self.calculus.diag
+        if diag is not None:
+            out = self.sigma / diag[:, None]
         else:
-            out = np.linalg.solve(gram, self.sigma)
+            out = np.linalg.solve(self.gram, self.sigma)
         out.setflags(write=False)
         return out
 
@@ -161,12 +160,6 @@ def validate_form(form: QuasifreeForm, tol: float = 1e-10) -> ValidationReport:
     return ValidationReport(residuals=res, valid=valid, classification=classification)
 
 
-def s_operator(form: QuasifreeForm):
-    """Return (S_op, G_S, gamma_S); raises if G_S is degenerate."""
-    _ = form.calculus  # force the definiteness check
-    return form.s_op, form.gram, form.gamma_s
-
-
 def spectral_split(form: QuasifreeForm, tol: float = 1e-10):
     """G_S-orthogonal spectral projectors of S_op for {0}, {1} and (0, 1)."""
     vals, vecs = form.s_eig
@@ -185,14 +178,6 @@ def _require_half_free(form: QuasifreeForm, tol: float):
             "S_op has an eigenvalue too close to 1/2",
             eigenvalue=float(vals[bad][0]),
         )
-
-
-def chi_scalar(s):
-    """arctanh(2 sqrt(s(1-s))) in the cancellation-free form
-    log(sqrt(s) + sqrt(1-s)) - log|sqrt(s) - sqrt(1-s)|."""
-    a = np.sqrt(np.clip(s, 0.0, 1.0))
-    b = np.sqrt(np.clip(1.0 - s, 0.0, 1.0))
-    return np.log(a + b) - np.log(np.abs(a - b))
 
 
 def chi_values(form: QuasifreeForm) -> np.ndarray:

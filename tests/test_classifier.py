@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfsp import (
+    DegenerateFormError,
     FamilyConfig,
     InvalidArgumentError,
     classify_family,
@@ -43,6 +44,19 @@ def test_norm_bounds_rayleigh_property(diag2, rng):
         v = rng.normal(size=4) + 1j * rng.normal(size=4)
         ratio = g.norm(v) / f.norm(v)
         assert a - 1e-10 <= ratio <= b + 1e-10
+
+
+def test_norm_bounds_degenerate_gram(diag1, pos1):
+    # a singular G_S on either side, diagonal or not, fails typed instead
+    # of giving inf or a meaningless Rayleigh bound
+    good = thermal_form(diag1, 0.3)
+    zero = QuasifreeForm(diag1, np.zeros((2, 2)))
+    good_pos = QuasifreeForm(pos1, np.array([[1.0, 0.5j], [-0.5j, 1.0]]))
+    singular_pos = QuasifreeForm(pos1, np.ones((2, 2)))
+    for f, g in ((zero, good), (good, zero),
+                 (singular_pos, good_pos), (good_pos, singular_pos)):
+        with pytest.raises(DegenerateFormError):
+            norm_equivalence_bounds(f, g)
 
 
 def test_discriminant_vanishes_on_diagonal(diag2):

@@ -96,6 +96,32 @@ def test_conjugation_properties(thermal_setup, rng):
         assert np.linalg.norm(res) <= 1e-8 * np.linalg.norm(w)
 
 
+def test_theta_decomposed_once(diag1, monkeypatch):
+    form = thermal_form(diag1, 0.5)
+    dd = double(form)
+    fk = build_fock(dd.hat_form, 12)
+    md = build_modular(dd, fk)
+    theta = md.generator.matrix
+    # oracle: the per-call formula, one fresh eigh per power
+    vals, vecs = np.linalg.eigh(0.5 * (theta + theta.conj().T))
+    expect = [(vecs * np.exp(-0.5 * vals)) @ vecs.conj().T,
+              (vecs * np.exp(0.5 * vals)) @ vecs.conj().T,
+              (vecs * np.exp(-1j * 0.7 * vals)) @ vecs.conj().T]
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    # qfsp.modular calls np.linalg.eigh through the numpy module
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    got = [md.delta_power(0.5), md.delta_power(-0.5), md.delta_unitary(0.7)]
+    assert len(calls) == 1
+    for g, e in zip(got, expect):
+        assert np.array_equal(g, e)
+
+
 def test_conjugation_inverts_delta(thermal_setup, rng):
     _, _, fk, md = thermal_setup
     j = md.conjugation

@@ -11,7 +11,6 @@ from qfsp import (
     double,
     moment,
     rho,
-    s_operator,
     spectral_split,
     symplectic_complement,
     validate_form,
@@ -31,10 +30,9 @@ def test_fock_form_is_basis_projection(diag1):
     f = fock_form(diag1)
     rep = validate_form(f)
     assert rep.valid and rep.classification == "BasisProjection"
-    s, gram, gam = s_operator(f)
-    assert np.allclose(s, np.diag([1.0, 0.0]))
-    assert np.allclose(gram, np.eye(2))
-    assert np.allclose(gam, np.diag([1.0, -1.0]))
+    assert np.allclose(f.s_op, np.diag([1.0, 0.0]))
+    assert np.allclose(f.gram, np.eye(2))
+    assert np.allclose(f.gamma_s, np.diag([1.0, -1.0]))
 
 
 def test_thermal_quarter_frozen_values(diag1):
@@ -168,11 +166,13 @@ def test_double_rejects_near_half_spectrum(diag1):
         double(f)
 
 
-def test_s_operator_degenerate_gram(diag1):
-    from qfsp.errors import DegenerateFormError
-
+def test_s_operator_degenerate_gram(diag1, pos1):
+    # a zero Gram matrix on the diagonal path and a singular non-diagonal
+    # one both fail typed, not with NaNs or a raw LinAlgError
     with pytest.raises(DegenerateFormError):
-        s_operator(QuasifreeForm(diag1, np.zeros((2, 2))))
+        QuasifreeForm(diag1, np.zeros((2, 2))).s_op
+    with pytest.raises(DegenerateFormError):
+        QuasifreeForm(pos1, np.array([[1.0, 1.0], [1.0, 1.0]])).s_op
 
 
 def test_pairing_count_matches_formula():
