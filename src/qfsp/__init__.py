@@ -69,7 +69,9 @@ from .implementers import (
     cocycle_sign,
     dP_distance,
     implement_T,
+    implement_T_apply,
     metaplectic,
+    metaplectic_apply,
     polar,
     theta,
     vacuum_overlap,

@@ -23,9 +23,9 @@ from .phase_space import Presentation, build_standard
 from .quasifree import (
     HALF_EIGENVALUE_TOL,
     QuasifreeForm,
-    _require_half_free,
     chi_values,
     double,
+    require_half_free,
     thermal_form,
 )
 from .implementers import vacuum_overlap
@@ -70,7 +70,7 @@ def discriminant(form: QuasifreeForm, other: QuasifreeForm) -> np.ndarray:
     S'_op, so each factor comes from one cached eigendecomposition.
     """
     for f in (form, other):
-        _require_half_free(f, HALF_EIGENVALUE_TOL)
+        require_half_free(f, HALF_EIGENVALUE_TOL)
     eye = np.eye(form.space.dim)
     vals, vecs = form.s_eig
     left = form.calculus.fn_of_eig(

@@ -34,8 +34,8 @@ from .implementers import (
     SymplecticMap,
     cocycle_sign,
     dP_distance,
-    implement_T,
-    metaplectic,
+    implement_T_apply,
+    metaplectic_apply,
     polar,
     theta,
     validate_symplectic,
@@ -197,8 +197,7 @@ def cmd_overlap(p_path, u_path, config: RunConfig) -> int:
     th_vals = np.linalg.eigvalsh(form.calculus.to_hermitian(th))
     det_value = vacuum_overlap(form, other)
     fk = build_fock(form, config.cutoff)
-    t = implement_T(fk, form, other)
-    psi_t = t.matrix @ fk.vacuum
+    psi_t = implement_T_apply(fk, form, other, fk.vacuum)
     bruteforce = complex(np.vdot(fk.vacuum, psi_t))
     tail = _squeezing_tail_mass(fk, psi_t)
     report = {
@@ -248,8 +247,7 @@ def cmd_implement(u_path, p_path, config: RunConfig) -> int:
     parts = polar(ps, u, form)
     eye = SymplecticMap(np.eye(ps.dim, dtype=complex))
     fk = build_fock(form, config.cutoff)
-    q = metaplectic(fk, u)
-    psi = q.matrix @ fk.vacuum
+    psi = metaplectic_apply(fk, u, fk.vacuum)
     corner = form.s_op @ u.u @ (np.eye(ps.dim) - form.s_op)
     corner_hs = hs_norm(corner, form.gram)
     continuity_lhs = float(np.linalg.norm(psi - fk.vacuum) ** 2)

@@ -5,6 +5,11 @@ number at most N; the cutoff is on the total, because bilinear Hamiltonians
 shift total number by at most two and that makes the truncation error
 uniform.  Field and Weyl operators, exponential vectors, parity and number
 structure, and tensor factorization checks live here.
+
+Ladder operators, fields B(f) and symmetric powers Gamma(R) are assembled
+as scipy CSR matrices, and a FockOperator stores that CSR form.  A dense
+matrix is formed only on request, through ``FockOperator.matrix`` or
+``create``/``annihilate``.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ __all__ = [
     "FockOperator",
     "build_fock",
     "field_operator",
-    "field_apply",
     "weyl",
     "exponential_vector",
     "parity_split",
@@ -35,36 +39,42 @@ __all__ = [
 
 
 class FockOperator:
-    """Dense matrix on the occupation basis, optionally antilinear.
+    """Operator on the occupation basis, optionally antilinear.
 
-    An antilinear operator acts as ``matrix @ conj(coefficients)``; matrix
-    composition tracks the flag (antilinear after antilinear is linear).
+    It stores the form it was built from: CSR from the Fock assembly, or a
+    dense array.  ``matrix`` is the dense view, formed on first use;
+    ``apply`` and composition work on the stored form.  An antilinear
+    operator acts as ``matrix @ conj(coefficients)``; composition tracks the
+    flag (antilinear after antilinear is linear).
     """
 
-    def __init__(self, matrix: np.ndarray, antilinear: bool = False):
-        self.matrix = np.asarray(matrix, dtype=complex)
+    def __init__(self, matrix, antilinear: bool = False):
+        if hasattr(matrix, "toarray"):  # scipy sparse
+            self._op = matrix.astype(complex)
+        else:
+            self._op = self.matrix = np.asarray(matrix, dtype=complex)
         self.antilinear = bool(antilinear)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return self._op.toarray()
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         if self.antilinear:
-            return self.matrix @ np.conj(vec)
-        return self.matrix @ vec
+            return self._op @ np.conj(vec)
+        return self._op @ vec
 
     def __matmul__(self, other):
         if isinstance(other, FockOperator):
-            if self.antilinear:
-                return FockOperator(self.matrix @ np.conj(other.matrix),
-                                    not other.antilinear)
-            return FockOperator(self.matrix @ other.matrix, other.antilinear)
-        if self.antilinear:
-            return self.matrix @ np.conj(np.asarray(other))
-        return self.matrix @ np.asarray(other)
+            rhs = other._op.conj() if self.antilinear else other._op
+            return FockOperator(self._op @ rhs, self.antilinear != other.antilinear)
+        return self.apply(np.asarray(other))
 
     def adjoint(self) -> "FockOperator":
         if self.antilinear:
             # adjoint of v -> M conj(v) in the antilinear sense is v -> M^T conj(v)
-            return FockOperator(self.matrix.T, antilinear=True)
-        return FockOperator(self.matrix.conj().T, antilinear=False)
+            return FockOperator(self._op.T, antilinear=True)
+        return FockOperator(self._op.conj().T, antilinear=False)
 
 
 class TruncatedFock:
@@ -93,51 +103,45 @@ class TruncatedFock:
         return v
 
     @cached_property
-    def _ladders(self):
-        """Per-mode creation matrices; annihilation is the conjugate transpose."""
-        raise_ops = []
-        for mode in range(self.modes):
-            m = np.zeros((self.dim, self.dim))
-            for i, occ in enumerate(self.occupations):
-                if sum(occ) < self.cutoff:
-                    target = list(occ)
-                    target[mode] += 1
-                    j = self.index[tuple(target)]
-                    m[j, i] = np.sqrt(occ[mode] + 1.0)
-            raise_ops.append(m)
-        return raise_ops
+    def _ladder_layout(self):
+        """CSR layout of sum_i (c_i bdag_i + c_{m+i} b_i), shared by all c.
 
-    @cached_property
-    def _ladders_sparse(self):
+        bdag_i sends k to k + e_i with weight sqrt(k_i + 1) and b_i is its
+        transpose; the 2m supports are disjoint, so entry e is
+        ``c[which[e]] * weight[e]``.
+        """
+        rows, cols, which, weight = [], [], [], []
+        for i, occ in enumerate(self.occupations):
+            for mode in range(self.modes if sum(occ) < self.cutoff else 0):
+                target = list(occ)
+                target[mode] += 1
+                j = self.index[tuple(target)]
+                rows += [j, i]
+                cols += [i, j]
+                which += [mode, self.modes + mode]
+                weight += [np.sqrt(occ[mode] + 1.0)] * 2
+        rows, cols = np.array(rows, dtype=int), np.array(cols, dtype=int)
+        order = np.lexsort((cols, rows))
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=self.dim))])
+        return np.array(which, dtype=int)[order], np.array(weight)[order], cols[order], indptr
+
+    def _ladder_sum(self, coefs: np.ndarray):
+        """CSR matrix of sum_i coefs[i] bdag_i + coefs[m + i] b_i."""
         from scipy.sparse import csr_matrix
 
-        return [csr_matrix(m) for m in self._ladders]
+        which, weight, cols, indptr = self._ladder_layout
+        return csr_matrix((np.asarray(coefs)[which] * weight, cols, indptr),
+                          shape=(self.dim, self.dim))
 
     def create(self, mode: int) -> np.ndarray:
-        return self._ladders[mode]
+        return self._ladder_sum(np.eye(2 * self.modes)[mode]).toarray()
 
     def annihilate(self, mode: int) -> np.ndarray:
-        return self._ladders[mode].T
+        return self._ladder_sum(np.eye(2 * self.modes)[self.modes + mode]).toarray()
 
     def mode_coords(self, v: np.ndarray) -> np.ndarray:
         """Coefficients of a vector of P K in the orthonormal mode basis."""
         return self.mode_basis.conj().T @ (self.form.gram @ np.asarray(v, complex))
-
-    def creation_of(self, v: np.ndarray) -> np.ndarray:
-        c = self.mode_coords(v)
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for i in range(self.modes):
-            if c[i] != 0:
-                out += c[i] * self._ladders[i]
-        return out
-
-    def annihilation_of(self, v: np.ndarray) -> np.ndarray:
-        c = np.conj(self.mode_coords(v))
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for i in range(self.modes):
-            if c[i] != 0:
-                out += c[i] * self._ladders[i].T
-        return out
 
     def restricted_norm(self, m: np.ndarray, max_total: int) -> float:
         """Spectral norm of the compression of ``m`` to the low sectors.
@@ -192,36 +196,23 @@ def build_fock(form: QuasifreeForm, cutoff: int,
     return TruncatedFock(form=form, cutoff=cutoff, mode_basis=basis)
 
 
+def _field_csr(fk: TruncatedFock, f: np.ndarray):
+    """CSR matrix of B(f) = creation(P f) + annihilation(P Gamma f)."""
+    f = np.asarray(f, dtype=complex)
+    p = fk.form.s_op
+    return fk._ladder_sum(np.concatenate([
+        fk.mode_coords(p @ f),
+        np.conj(fk.mode_coords(p @ fk.form.space.conjugate(f))),
+    ]))
+
+
 def field_operator(fk: TruncatedFock, f: np.ndarray) -> FockOperator:
-    """Matrix of B(f) = creation(P f) + annihilation(P Gamma f).
+    """B(f) = creation(P f) + annihilation(P Gamma f), stored as CSR.
 
     Complex linear in f; the matrix adjoint is exactly the matrix of
     B(Gamma f) in the truncated basis.
     """
-    f = np.asarray(f, dtype=complex)
-    sp = fk.form.space
-    p = fk.form.s_op
-    return FockOperator(
-        fk.creation_of(p @ f) + fk.annihilation_of(p @ sp.conjugate(f))
-    )
-
-
-def field_apply(fk: TruncatedFock, f: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """B(f) applied to a vector without assembling the full matrix."""
-    f = np.asarray(f, dtype=complex)
-    sp = fk.form.space
-    p = fk.form.s_op
-    c = fk.mode_coords(p @ f)
-    d = np.conj(fk.mode_coords(p @ sp.conjugate(f)))
-    vec = np.asarray(vec, dtype=complex)
-    out = np.zeros_like(vec)
-    for i in range(fk.modes):
-        ladder = fk._ladders_sparse[i]
-        if c[i] != 0:
-            out += c[i] * (ladder @ vec)
-        if d[i] != 0:
-            out += d[i] * (ladder.T @ vec)
-    return out
+    return FockOperator(_field_csr(fk, f))
 
 
 def weyl(fk: TruncatedFock, f: np.ndarray, tol: float = 1e-8) -> FockOperator:
@@ -274,40 +265,38 @@ def number_operator(fk: TruncatedFock) -> FockOperator:
     return FockOperator(np.diag(fk.totals.astype(float)).astype(complex))
 
 
-def second_quantize_unitary(fk: TruncatedFock, r: np.ndarray) -> FockOperator:
-    """Symmetric-power action of an m x m mode-space matrix.
+def _sym_power_csr(fk: TruncatedFock, r: np.ndarray):
+    """CSR matrix of the symmetric-power action of an m x m mode-space matrix.
 
     Column for occupation k is prod_i (sum_j r_ji bdag_j)^{k_i} / sqrt(k_i!)
     applied to the vacuum, which is the exact per-sector tensor power; no
-    matrix logarithm is involved.
+    matrix logarithm is involved.  Each column is one creation step from a
+    column of the sector below, so the result is built as diagonal blocks.
     """
+    from scipy.sparse import block_diag
+
     r = np.asarray(r, dtype=complex)
     if r.shape != (fk.modes, fk.modes):
         raise InvalidArgumentError("mode matrix has wrong shape")
-    transformed = []
-    for i in range(fk.modes):
-        op = np.zeros((fk.dim, fk.dim), dtype=complex)
-        for j in range(fk.modes):
-            if r[j, i] != 0:
-                op += r[j, i] * fk.create(j)
-        transformed.append(op)
-    out = np.zeros((fk.dim, fk.dim), dtype=complex)
-    cache: dict[tuple, np.ndarray] = {(0,) * fk.modes: fk.vacuum.astype(complex)}
+    transformed = [fk._ladder_sum(np.concatenate([r[:, i], np.zeros(fk.modes)]))
+                   for i in range(fk.modes)]
+    bounds = np.searchsorted(fk.totals, np.arange(fk.cutoff + 2))
+    blocks = [np.ones((1, 1), dtype=complex)]
+    for n in range(1, fk.cutoff + 1):
+        lo, hi, prev_lo = bounds[n], bounds[n + 1], bounds[n - 1]
+        steps = [t[lo:hi, prev_lo:lo] for t in transformed]
+        block = np.empty((hi - lo, hi - lo), dtype=complex)
+        for k, occ in enumerate(fk.occupations[lo:hi]):
+            mode = max(i for i, c in enumerate(occ) if c > 0)
+            prev = fk.index[occ[:mode] + (occ[mode] - 1,) + occ[mode + 1:]] - prev_lo
+            block[:, k] = steps[mode] @ blocks[-1][:, prev] / np.sqrt(occ[mode])
+        blocks.append(block)
+    return block_diag(blocks, format="csr")
 
-    def column(occ) -> np.ndarray:
-        if occ in cache:
-            return cache[occ]
-        mode = max(i for i, k in enumerate(occ) if k > 0)
-        prev = list(occ)
-        prev[mode] -= 1
-        base = column(tuple(prev))
-        vec = transformed[mode] @ base / np.sqrt(occ[mode])
-        cache[occ] = vec
-        return vec
 
-    for i, occ in enumerate(fk.occupations):
-        out[:, i] = column(occ)
-    return FockOperator(out)
+def second_quantize_unitary(fk: TruncatedFock, r: np.ndarray) -> FockOperator:
+    """Symmetric-power action Gamma(r) of an m x m mode-space matrix."""
+    return FockOperator(_sym_power_csr(fk, r))
 
 
 def occupation_conjugation(fk: TruncatedFock) -> FockOperator:
@@ -332,8 +321,8 @@ def factorization_check(fk: TruncatedFock, group1, group2, samples,
     if sorted(group1 + group2) != list(range(fk.modes)):
         raise InvalidArgumentError("groups must partition the mode indices")
     rng = np.random.default_rng(0) if rng is None else rng
-    fk1 = _sub_fock(fk, group1)
-    fk2 = _sub_fock(fk, group2)
+    fk1 = TruncatedFock(fk.form, fk.cutoff, fk.mode_basis[:, group1])
+    fk2 = TruncatedFock(fk.form, fk.cutoff, fk.mode_basis[:, group2])
     res_full = 0.0
     res_parity = 0.0
     for u1c, u2c in samples if not isinstance(samples, int) else _coef_samples(
@@ -365,18 +354,6 @@ def _coef_samples(rng, n, m1, m2):
     for _ in range(n):
         yield (rng.normal(size=m1) * 0.4 + 1j * rng.normal(size=m1) * 0.4,
                rng.normal(size=m2) * 0.4 + 1j * rng.normal(size=m2) * 0.4)
-
-
-def _sub_fock(fk: TruncatedFock, group) -> TruncatedFock:
-    sub = TruncatedFock.__new__(TruncatedFock)
-    sub.form = fk.form
-    sub.cutoff = fk.cutoff
-    sub.mode_basis = fk.mode_basis[:, group]
-    sub.modes = len(group)
-    sub.occupations = _occupation_tuples(sub.modes, sub.cutoff)
-    sub.index = {occ: i for i, occ in enumerate(sub.occupations)}
-    sub.dim = len(sub.occupations)
-    return sub
 
 
 def _tensor_residual(fk, fk1, fk2, group1, group2, e_joint, e1, e2, extra):

@@ -22,15 +22,11 @@ from .errors import (
     InternalConsistencyError,
     InvalidArgumentError,
 )
-from .fock import (
-    FockOperator,
-    TruncatedFock,
-    second_quantize_unitary,
-)
-from .linalg import hs_norm, op_norm
+from .fock import FockOperator, TruncatedFock, _sym_power_csr
+from .linalg import expm_apply, hs_norm, op_norm
 from .phase_space import PhaseSpace, ValidationReport, gamma_adjoint
 from .quasifree import QuasifreeForm, transport_form
-from .sp_algebra import Hamiltonian, quantize
+from .sp_algebra import Hamiltonian, _quantize_csr
 
 __all__ = [
     "SymplecticMap",
@@ -39,10 +35,12 @@ __all__ = [
     "theta",
     "bogoliubov_u",
     "implement_T",
+    "implement_T_apply",
     "vacuum_overlap",
     "polar",
     "dP_distance",
     "metaplectic",
+    "metaplectic_apply",
     "cocycle_sign",
     "CocycleEstimate",
 ]
@@ -148,6 +146,18 @@ def bogoliubov_u(form: QuasifreeForm, other: QuasifreeForm,
     return u, h
 
 
+def implement_T_apply(fk: TruncatedFock, form: QuasifreeForm,
+                      other: QuasifreeForm, x: np.ndarray,
+                      tol: float = THETA_CLAMP_TOL) -> np.ndarray:
+    """T x for the implementer T = exp(-i q(H(S/S'))) of the move from S to S'.
+
+    The exponential acts on the columns of x through the CSR q(H) (see
+    :func:`qfsp.linalg.expm_apply`); T itself is never formed.
+    """
+    _, h = bogoliubov_u(form, other, tol)
+    return expm_apply(-1j * _quantize_csr(fk, h), x)
+
+
 def implement_T(fk: TruncatedFock, form: QuasifreeForm, other: QuasifreeForm,
                 tol: float = THETA_CLAMP_TOL) -> FockOperator:
     """Fock implementer of the move from S to S'.
@@ -157,9 +167,8 @@ def implement_T(fk: TruncatedFock, form: QuasifreeForm, other: QuasifreeForm,
     Psi.  The inverse-direction exponential is what makes the polar-composed
     implementer conjugate Weyl operators by U itself.
     """
-    _, h = bogoliubov_u(form, other, tol)
-    q = quantize(fk, h).matrix
-    return FockOperator(sla.expm(-1j * q))
+    return FockOperator(implement_T_apply(fk, form, other,
+                                          np.eye(fk.dim, dtype=complex), tol))
 
 
 def vacuum_overlap(form: QuasifreeForm, other: QuasifreeForm,
@@ -228,21 +237,26 @@ def restricted_rotation(fk: TruncatedFock, rotation: SymplecticMap) -> np.ndarra
     return r
 
 
-def metaplectic(fk: TruncatedFock, u: SymplecticMap,
-                sign: int = 1) -> FockOperator:
-    """Canonical implementer sign * T(P, P') * SymPower(R(U)|_{P K}).
+def metaplectic_apply(fk: TruncatedFock, u: SymplecticMap, x: np.ndarray,
+                      sign: int = 1) -> np.ndarray:
+    """M x for the canonical implementer M = sign * T(P, P') * Gamma(R(U)|_{P K}).
 
     The phase is pinned by the positive vacuum overlap of the T factor and
-    the exact symmetric-power action of the rotation; it conjugates Weyl
-    operators by U on low sectors.
+    the exact symmetric-power action of the rotation; M conjugates Weyl
+    operators by U on low sectors.  Neither factor is formed densely.
     """
     if sign not in (1, -1):
         raise InvalidArgumentError("sign must be +1 or -1")
-    ps = fk.form.space
-    parts = polar(ps, u, fk.form)
-    t = implement_T(fk, fk.form, transport_form(fk.form, u.u))
-    gamma_r = second_quantize_unitary(fk, restricted_rotation(fk, parts.rotation))
-    return FockOperator(float(sign) * (t.matrix @ gamma_r.matrix))
+    parts = polar(fk.form.space, u, fk.form)
+    gamma_r = _sym_power_csr(fk, restricted_rotation(fk, parts.rotation))
+    return float(sign) * implement_T_apply(fk, fk.form, transport_form(fk.form, u.u),
+                                           gamma_r @ np.asarray(x, dtype=complex))
+
+
+def metaplectic(fk: TruncatedFock, u: SymplecticMap,
+                sign: int = 1) -> FockOperator:
+    """Dense matrix of the canonical implementer; see :func:`metaplectic_apply`."""
+    return FockOperator(metaplectic_apply(fk, u, np.eye(fk.dim, dtype=complex), sign))
 
 
 @dataclass(frozen=True)
@@ -260,17 +274,16 @@ def cocycle_sign(fk: TruncatedFock, u1: SymplecticMap, u2: SymplecticMap,
     """Scalar lambda with Q(U1) Q(U2) = lambda Q(U1 U2), from low sectors.
 
     The estimate is the least-squares ratio of the two matrices compressed
-    to a low particle block (default: total occupation <= 8); it must have
-    modulus one.  Keep the cutoff well above the block so squeezing tails do
+    to a low particle block (default: total occupation <= 8), each applied
+    to the block's columns and never formed; it must have modulus one.  Keep the cutoff well above the block so squeezing tails do
     not reach it.  Raises when the reference block cannot certify a ratio.
     """
-    qa = metaplectic(fk, u1).matrix @ metaplectic(fk, u2).matrix
-    qb = metaplectic(fk, SymplecticMap(u1.u @ u2.u)).matrix
     if sector is None:
         sector = min(8, fk.cutoff - 6)
     mask = fk.sector_mask(sector)
-    a = qa[np.ix_(mask, mask)].ravel()
-    b = qb[np.ix_(mask, mask)].ravel()
+    cols = np.eye(fk.dim, dtype=complex)[:, mask]
+    a = metaplectic_apply(fk, u1, metaplectic_apply(fk, u2, cols))[mask].ravel()
+    b = metaplectic_apply(fk, SymplecticMap(u1.u @ u2.u), cols)[mask].ravel()
     denom = np.vdot(b, b).real
     if denom < floor:
         raise InconclusiveError("low-sector block is numerically empty")

@@ -5,7 +5,8 @@ always relative to some positive definite Gram matrix (``G_S`` for the state
 inner product, the phase-space form ``G`` for symplectic adjoints).  All
 spectral computations on a metric-self-adjoint matrix go through a congruence
 with the Cholesky factor of the metric, which turns the problem into an
-ordinary hermitian one.
+ordinary hermitian one.  ``expm_apply`` applies the exponential of a
+sparse matrix to a block of vectors without forming it.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ __all__ = [
     "op_norm",
     "MetricCalculus",
     "pairwise_sum",
+    "expm_apply",
     "HERMITIZE_TOL",
     "PIVOT_RATIO_MIN",
 ]
@@ -30,6 +32,10 @@ __all__ = [
 PIVOT_RATIO_MIN = 1e-14
 # relative residual allowed when hermitizing a metric-self-adjoint matrix
 HERMITIZE_TOL = 1e-8
+# theta_m of Al-Mohy & Higham (2011), table 3.1, double precision: s steps of
+# a degree-m Taylor polynomial reach unit roundoff once ||A||_1 <= s theta_m
+_TAYLOR_THETA = {10: 0.144, 15: 0.641, 20: 1.44, 25: 2.43, 30: 3.54,
+                35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9}
 
 
 def adjoint(a: np.ndarray, metric: np.ndarray) -> np.ndarray:
@@ -76,6 +82,8 @@ class MetricCalculus:
 
     def __init__(self, metric: np.ndarray):
         metric = np.asarray(metric, dtype=complex)
+        if not np.isfinite(metric).all():
+            raise DegenerateFormError("metric has non-finite entries")
         if np.linalg.norm(metric - metric.conj().T) > 1e-10 * max(
             1.0, np.abs(metric).max()
         ):
@@ -190,3 +198,34 @@ def pairwise_sum(values) -> float:
             level = vals[0:even:2] + vals[1:even:2]
             vals = np.concatenate([level, vals[even:]]) if even < vals.size else level
     return float(vals[0])
+
+
+def expm_apply(a, x: np.ndarray) -> np.ndarray:
+    """exp(a) @ x for a sparse square ``a``, without forming exp(a).
+
+    Algorithm 3.2 of Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011), as in
+    scipy's ``expm_multiply``, with the Taylor degree and step count taken
+    from the exact 1-norm of ``a`` only: ``expm_multiply`` refines them with
+    randomized estimates drawn from numpy's global random state, so its last
+    bits can change from run to run.
+    """
+    from scipy.sparse import identity
+
+    out = np.asarray(x, dtype=complex)
+    mu = a.diagonal().mean()
+    a = a - mu * identity(a.shape[0], format="csr")
+    norm = abs(a).sum(axis=0).max()
+    degree, steps = min(((m, max(1, int(np.ceil(norm / theta))))
+                         for m, theta in _TAYLOR_THETA.items()),
+                        key=lambda ms: ms[0] * ms[1])
+    for _ in range(steps):
+        term, prev = out, np.linalg.norm(out, np.inf)
+        for j in range(1, degree + 1):
+            term = (a @ term) / (steps * j)
+            size = np.linalg.norm(term, np.inf)
+            out = out + term
+            if prev + size <= 2.0 ** -53 * np.linalg.norm(out, np.inf):
+                break
+            prev = size
+        out = np.exp(mu / steps) * out
+    return out

@@ -28,6 +28,7 @@ __all__ = [
     "DoubledSpace",
     "validate_form",
     "spectral_split",
+    "require_half_free",
     "chi",
     "rho",
     "double",
@@ -170,7 +171,8 @@ def spectral_split(form: QuasifreeForm, tol: float = 1e-10):
     return e0, e1, emid
 
 
-def _require_half_free(form: QuasifreeForm, tol: float):
+def require_half_free(form: QuasifreeForm, tol: float):
+    """Raise SpectralSingularityError if S_op has an eigenvalue within tol of 1/2."""
     vals, _ = form.s_eig
     bad = np.abs(vals - 0.5) < tol
     if bad.any():
@@ -202,14 +204,14 @@ def chi_values(form: QuasifreeForm) -> np.ndarray:
 
 def chi(form: QuasifreeForm, half_tol: float = HALF_EIGENVALUE_TOL) -> np.ndarray:
     """arctanh(2 sqrt(S(1-S))) as an operator; finite away from spectrum 1/2."""
-    _require_half_free(form, half_tol)
+    require_half_free(form, half_tol)
     vals, vecs = form.s_eig
     return form.calculus.fn_of_eig(vals, vecs, chi_values(form))
 
 
 def rho(form: QuasifreeForm, half_tol: float = HALF_EIGENVALUE_TOL) -> np.ndarray:
     """Sign of 2S - 1 as an operator; an involution commuting with S_op."""
-    _require_half_free(form, half_tol)
+    require_half_free(form, half_tol)
     vals, vecs = form.s_eig
     return form.calculus.fn_of_eig(vals, vecs, np.sign(2.0 * vals - 1.0))
 

@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import InvalidArgumentError
-from .fock import FockOperator, TruncatedFock, field_operator
+from .fock import FockOperator, TruncatedFock, _field_csr
+from .linalg import expm_apply
 from .phase_space import (
     PhaseSpace,
     ValidationReport,
@@ -148,6 +148,19 @@ def rank_decompose(ps: PhaseSpace, h: Hamiltonian,
     return RankDecomposition(pairs=pairs)
 
 
+def _quantize_csr(fk: TruncatedFock, h: Hamiltonian,
+                  decomposition: RankDecomposition | None = None):
+    """CSR matrix of q(H) = (1/2) sum_j B(f_j) B(Gamma g_j)."""
+    from scipy.sparse import csr_matrix
+
+    ps = fk.form.space
+    dec = decomposition or rank_decompose(ps, h)
+    out = csr_matrix((fk.dim, fk.dim), dtype=complex)
+    for f, g in dec.pairs:
+        out = out + _field_csr(fk, f) @ _field_csr(fk, ps.conjugate(g))
+    return 0.5 * out
+
+
 def quantize(fk: TruncatedFock, h: Hamiltonian,
              decomposition: RankDecomposition | None = None) -> FockOperator:
     """Bilinear Hamiltonian q(H) = (1/2) sum_j B(f_j) B(g_j)^* on the Fock model.
@@ -155,20 +168,13 @@ def quantize(fk: TruncatedFock, h: Hamiltonian,
     B(g)^* is realized as B(Gamma g), which is the exact matrix adjoint in
     the occupation basis.
     """
-    ps = fk.form.space
-    dec = decomposition or rank_decompose(ps, h)
-    out = np.zeros((fk.dim, fk.dim), dtype=complex)
-    for f, g in dec.pairs:
-        bf = field_operator(fk, f).matrix
-        bg_star = field_operator(fk, ps.conjugate(g)).matrix
-        out += bf @ bg_star
-    return FockOperator(0.5 * out)
+    return FockOperator(_quantize_csr(fk, h, decomposition))
 
 
 def implementer(fk: TruncatedFock, h: Hamiltonian) -> FockOperator:
     """Q(H) = exp(i q(H)); conjugation sends B(f) to B(e^{iH} f) on low sectors."""
-    q = quantize(fk, h).matrix
-    return FockOperator(sla.expm(1j * q))
+    return FockOperator(expm_apply(1j * _quantize_csr(fk, h),
+                                   np.eye(fk.dim, dtype=complex)))
 
 
 def lie_residual(fk: TruncatedFock, h1: Hamiltonian, h2: Hamiltonian) -> float:

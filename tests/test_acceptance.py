@@ -37,7 +37,6 @@ from qfsp import (
 from qfsp.classifier import family_from_json
 from qfsp.cli import main as cli_main
 from qfsp.fock import (
-    field_apply,
     field_operator,
     number_operator,
     parity_split,
@@ -69,8 +68,8 @@ def test_criterion_01_two_point_law():
     for _ in range(100):
         f = rng.normal(size=4) + 1j * rng.normal(size=4)
         g = rng.normal(size=4) + 1j * rng.normal(size=4)
-        left = field_apply(fk, dd.embed(f), fk.vacuum)
-        right = field_apply(fk, dd.embed(g), fk.vacuum)
+        left = field_operator(fk, dd.embed(f)).apply(fk.vacuum)
+        right = field_operator(fk, dd.embed(g)).apply(fk.vacuum)
         got = complex(np.vdot(left, right))
         worst = max(worst, abs(got - form.s_form(f, g)))
     took = time.perf_counter() - t0

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from qfsp.classifier import (
     hs_discriminant,
     norm_equivalence_bounds,
 )
+import qfsp
 from qfsp.cli import main
 from qfsp.quasifree import QuasifreeForm, fock_form, thermal_form
 from qfsp.serialize import (
@@ -222,3 +225,16 @@ def test_classify_overflowing_power_is_infinite(tmp_path, capsys):
     assert main(["classify", fam_path]) == 4
     report = json.loads(capsys.readouterr().out)
     assert report["outcome"] == "Inconclusive"
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    """The sparse Fock layer imports scipy.sparse on first use, so the
+    start-up cost of every command stays flat."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qfsp.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = ("import sys, qfsp.cli; print([m for m in ('scipy.sparse', "
+             "'scipy.sparse.linalg') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "[]"

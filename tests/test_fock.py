@@ -221,6 +221,24 @@ def test_second_quantize_unitary_is_multiplicative(diag2, rng):
     assert np.linalg.norm(gq @ gq.conj().T - np.eye(fk.dim)) <= 1e-10
 
 
+def test_second_quantize_unitary_matches_column_recursion(rng):
+    """The sector-batched Gamma(R) against the column-by-column recursion."""
+    for modes, cutoff in ((2, 9), (3, 5)):
+        ps = build_standard(modes, Presentation.DIAGONAL)
+        fk = build_fock(fock_form(ps), cutoff)
+        r = rng.normal(size=(modes, modes)) + 1j * rng.normal(size=(modes, modes))
+        raised = [sum(r[j, i] * fk.create(j) for j in range(modes)) for i in range(modes)]
+        want = np.zeros((fk.dim, fk.dim), dtype=complex)
+        want[:, 0] = fk.vacuum
+        for k, occ in enumerate(fk.occupations[1:], start=1):
+            mode = max(i for i, n in enumerate(occ) if n > 0)
+            prev = list(occ)
+            prev[mode] -= 1
+            want[:, k] = raised[mode] @ want[:, fk.index[tuple(prev)]] / np.sqrt(occ[mode])
+        got = second_quantize_unitary(fk, r).matrix
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_doubled_pure_form_decouples_hamiltonians(diag1, rng):
     """Implementers of first-copy Hamiltonians act trivially on the
     complement modes of the doubling of a pure state."""

@@ -4,14 +4,18 @@ import scipy.linalg as sla
 
 from qfsp import (
     GeometryError,
+    Presentation,
     SymplecticMap,
     bogoliubov_u,
     build_fock,
+    build_standard,
     cocycle_sign,
     dP_distance,
     gamma_adjoint,
     implement_T,
+    implement_T_apply,
     metaplectic,
+    metaplectic_apply,
     polar,
     theta,
     transport_form,
@@ -19,9 +23,15 @@ from qfsp import (
     validate_hamiltonian,
     validate_symplectic,
 )
-from qfsp.fock import field_operator, occupation_conjugation, weyl
+from qfsp.fock import (
+    field_operator,
+    occupation_conjugation,
+    second_quantize_unitary,
+    weyl,
+)
+from qfsp.implementers import restricted_rotation
 from qfsp.quasifree import direct_sum_form, fock_form
-from qfsp.sp_algebra import random_hamiltonian
+from qfsp.sp_algebra import quantize, random_hamiltonian
 from conftest import squeeze, random_kappa_real, real_vec
 
 
@@ -341,3 +351,55 @@ def test_theta_mixed_block_pair(diag1):
     big_moved = direct_sum_form(moved, moved)
     th = theta(big, big_moved)
     assert np.linalg.norm(th - 0.3 * np.eye(4), 2) <= 1e-10
+
+
+def _dense_factors(fk, u):
+    """Dense expm(-i q(H)) and Gamma(R) of the canonical implementer of u."""
+    other = transport_form(fk.form, u.u)
+    _, h = bogoliubov_u(fk.form, other)
+    t = sla.expm(-1j * quantize(fk, h).matrix)
+    rotation = polar(fk.form.space, u, fk.form).rotation
+    return other, t, second_quantize_unitary(fk, restricted_rotation(fk, rotation)).matrix
+
+
+@pytest.mark.parametrize("modes,cutoff", [(1, 40), (2, 18)])
+def test_apply_matches_dense_expm(modes, cutoff):
+    ps = build_standard(modes, Presentation.DIAGONAL)
+    fk = build_fock(fock_form(ps), cutoff)
+    assert fk.dim == (41 if modes == 1 else 190)
+    u = SymplecticMap(random_kappa_real(ps, np.random.default_rng(5), 0.3)
+                      @ random_symplectic(ps, np.random.default_rng(6), 0.3))
+    other, t, gamma_r = _dense_factors(fk, u)
+    block = np.eye(fk.dim, dtype=complex)[:, fk.sector_mask(8)]
+    for x in (fk.vacuum, block):
+        got = implement_T_apply(fk, fk.form, other, x)
+        assert np.abs(got - t @ x).max() <= 1e-12
+        for sign in (1, -1):
+            got = metaplectic_apply(fk, u, x, sign)
+            assert np.abs(got - sign * (t @ (gamma_r @ x))).max() <= 1e-12
+
+
+def test_cocycle_matches_dense_compression():
+    """cocycle_sign against the compression of dense implementer products,
+    on the pairs of acceptance criterion 10."""
+    diag2 = build_standard(2, Presentation.DIAGONAL)
+    rng = np.random.default_rng(110)
+    for _ in range(5):
+        real_vec(rng, 0.15)
+    fk = build_fock(fock_form(diag2), 18)
+    mask = fk.sector_mask(4)
+
+    def dense(u):
+        _, t, gamma_r = _dense_factors(fk, u)
+        return t @ gamma_r
+
+    for _ in range(20):
+        u1 = SymplecticMap(random_kappa_real(diag2, rng, 0.22))
+        u2 = SymplecticMap(random_kappa_real(diag2, rng, 0.22))
+        est = cocycle_sign(fk, u1, u2, sector=4)
+        a = (dense(u1) @ dense(u2))[np.ix_(mask, mask)].ravel()
+        b = dense(SymplecticMap(u1.u @ u2.u))[np.ix_(mask, mask)].ravel()
+        lam = np.vdot(b, a) / np.vdot(b, b).real
+        fit = np.linalg.norm(a - lam * b) / np.sqrt(np.vdot(b, b).real)
+        assert abs(est.raw - lam) <= 1e-12
+        assert abs(est.fit_residual - fit) <= 1e-12

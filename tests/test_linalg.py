@@ -74,6 +74,12 @@ def test_calculus_rejects_indefinite_metric():
         MetricCalculus(np.diag([1.0, -1.0]))
 
 
+def test_calculus_rejects_non_finite_metric():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DegenerateFormError, match="non-finite"):
+            MetricCalculus(np.array([[1.0, bad], [bad, 1.0]]))
+
+
 def test_orthonormalize_gram_identity():
     rng = np.random.default_rng(7)
     m = random_metric(rng, 6)

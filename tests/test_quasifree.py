@@ -175,6 +175,13 @@ def test_s_operator_degenerate_gram(diag1, pos1):
         QuasifreeForm(pos1, np.array([[1.0, 1.0], [1.0, 1.0]])).s_op
 
 
+def test_s_operator_non_finite_sigma(pos1):
+    # before the metric check, a NaN Gram passed Cholesky and s_op was all NaN
+    with pytest.raises(DegenerateFormError) as excinfo:
+        QuasifreeForm(pos1, np.array([[np.nan, 0.5j], [-0.5j, 1.0]])).s_op
+    assert "non-finite" in str(excinfo.value.__cause__)
+
+
 def test_pairing_count_matches_formula():
     from math import factorial
 

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings, strategies as st
 
 from qfsp import (
     Hamiltonian,
+    Presentation,
+    build_standard,
     InvalidArgumentError,
     basis_hamiltonian,
     cyclic_span,
@@ -206,3 +209,23 @@ def test_mixed_state_quantization_runs_on_doubling(diag1, rng):
     h = random_hamiltonian(diag1, rng)
     q = quantize(fk, Hamiltonian(dd.embed_op(h.op))).matrix
     assert fk.restricted_norm(q - q.conj().T, fk.cutoff - 2) <= 1e-10
+
+
+def _dense_field(fk, f):
+    """B(f) summed densely from the per-mode ladder matrices."""
+    p = fk.form.s_op
+    c = fk.mode_coords(p @ f)
+    d = np.conj(fk.mode_coords(p @ fk.form.space.conjugate(f)))
+    return sum(c[i] * fk.create(i) + d[i] * fk.annihilate(i) for i in range(fk.modes))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([1, 2]), st.integers(3, 8), st.integers(0, 2**32 - 1))
+def test_sparse_quantize_matches_dense_field_products(modes, cutoff, seed):
+    ps = build_standard(modes, Presentation.DIAGONAL)
+    fk = build_fock(fock_form(ps), cutoff)
+    h = random_hamiltonian(ps, np.random.default_rng(seed))
+    want = 0.5 * sum(_dense_field(fk, f) @ _dense_field(fk, ps.conjugate(g))
+                     for f, g in rank_decompose(ps, h).pairs)
+    got = quantize(fk, h).matrix
+    assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
