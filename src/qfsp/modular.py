@@ -1,11 +1,12 @@
 """Quasifree modular data on the doubled truncated Fock space.
 
 For a strictly mixed form (spectrum inside (0, 1)) the one-particle modular
-Hamiltonian is log(S (1-S)^-1).  On the doubling, the matching generator is
-the block pair diag(H_S, H_S): relative to the doubled form it conserves
-particle number, annihilates the vacuum after the scalar subtraction, and
-implements the flow B(f + 0) -> B(e^{itH_S} f + 0).  The conjugation swaps
-the two copies through Gamma and second-quantizes antilinearly.
+Hamiltonian is H_S = log(S (1-S)^-1).  On the doubling, diag(H_S, H_S)
+commutes with the doubled projection and restricts to an m x m matrix h on
+the mode space; Delta^z = Gamma(e^{-z h}), generated by the normal-ordered
+dGamma(h), is exact on every sector, the top one included.  The
+conjugation swaps the two copies through Gamma and second-quantizes
+antilinearly.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BoundaryError, InternalConsistencyError
-from .fock import FockOperator, TruncatedFock, second_quantize_unitary
+from .fock import FockOperator, TruncatedFock, _sym_power_csr, second_quantize_unitary
 from .quasifree import DoubledSpace, QuasifreeForm
-from .sp_algebra import Hamiltonian, quantize
 
 __all__ = [
     "ModularData",
@@ -43,36 +43,35 @@ def one_particle_modular(form: QuasifreeForm, eps: float = 1e-6) -> np.ndarray:
     return form.calculus.fn_of_eig(vals, vecs, np.log(vals / (1.0 - vals)))
 
 
-def modular_generator(dd: DoubledSpace, fk: TruncatedFock,
-                      eps: float = 1e-6,
-                      structure_tol: float = 1e-10) -> FockOperator:
-    """Vacuum-annihilating generator of the modular flow on the doubling.
+def _mode_hamiltonian(fk: TruncatedFock, h_s: np.ndarray,
+                      tol: float = 1e-10) -> np.ndarray:
+    """h = M* G_S diag(H_S, H_S) M on the mode space of the doubled projection.
 
-    Built as q(diag(H_S, H_S)) minus its vacuum expectation.  That block
-    generator commutes with the doubled projection, so the quantization is
-    number conserving in exact arithmetic; the numerically enforced block
-    structure is validated against what it removes.
+    The block pair must commute with the doubled projection: that makes its
+    quantization conserve particle number and h its exact restriction.
     """
-    h = one_particle_modular(dd.base, eps)
-    d = dd.base.space.dim
-    hat_h = np.zeros((2 * d, 2 * d), dtype=complex)
-    hat_h[:d, :d] = h
-    hat_h[d:, d:] = h
-    q = quantize(fk, Hamiltonian(hat_h)).matrix
-    q = 0.5 * (q + q.conj().T)
-    # exact arithmetic makes q block diagonal over total particle number
-    totals = fk.totals
-    off_block = np.abs(totals[:, None] - totals[None, :]) > 0
-    removed = np.linalg.norm(q[off_block])
-    scale = max(1.0, np.linalg.norm(q))
-    if removed > structure_tol * scale:
+    hat_h = np.kron(np.eye(2), h_s)
+    p = fk.form.s_op
+    leak = np.linalg.norm(hat_h @ p - p @ hat_h, 2)
+    if leak > tol * max(1.0, np.linalg.norm(hat_h, 2)):
         raise InternalConsistencyError(
-            f"modular generator leaks across number sectors: {removed:.3e}"
+            f"modular generator does not commute with the doubled projection: "
+            f"{leak:.3e}"
         )
-    q = np.where(off_block, 0.0, q)
-    vac = q[0, 0]
-    theta = q - vac.real * np.eye(fk.dim)
-    return FockOperator(theta)
+    h = fk.mode_coords(hat_h @ fk.mode_basis)
+    return 0.5 * (h + h.conj().T)
+
+
+def modular_generator(fk: TruncatedFock, h: np.ndarray) -> FockOperator:
+    """Normal-ordered dGamma(h) = sum_i bdag_i (sum_j h_ij b_j) of the m x m
+    mode-space h, stored as CSR; it annihilates the vacuum, conserves
+    particle number and, being normal ordered, is exact on every sector."""
+    zeros = np.zeros(fk.modes)
+    return FockOperator(sum(
+        fk._ladder_sum(np.concatenate([unit, zeros]))
+        @ fk._ladder_sum(np.concatenate([zeros, row]))
+        for unit, row in zip(np.eye(fk.modes), h)
+    ))
 
 
 def modular_conjugation(dd: DoubledSpace, fk: TruncatedFock,
@@ -83,12 +82,7 @@ def modular_conjugation(dd: DoubledSpace, fk: TruncatedFock,
     doubled projection and is antiunitary on its range; both facts are
     validated before the symmetric-power lift.
     """
-    base = dd.base
-    d = base.space.dim
-    c = base.space.C
-    omega_linear = np.zeros((2 * d, 2 * d), dtype=complex)
-    omega_linear[:d, d:] = c
-    omega_linear[d:, :d] = c
+    omega_linear = np.kron([[0, 1], [1, 0]], dd.base.space.C).astype(complex)
     # omega as an antilinear map is h -> omega_linear conj(h)
     p = fk.form.s_op
     commute = omega_linear @ np.conj(p) - p @ omega_linear
@@ -96,9 +90,7 @@ def modular_conjugation(dd: DoubledSpace, fk: TruncatedFock,
         raise InternalConsistencyError(
             "omega does not commute with the doubled projection"
         )
-    modes = fk.mode_basis
-    gram = fk.form.gram
-    j_mode = modes.conj().T @ gram @ (omega_linear @ np.conj(modes))
+    j_mode = fk.mode_coords(omega_linear @ np.conj(fk.mode_basis))
     unit_res = np.linalg.norm(j_mode.conj().T @ j_mode - np.eye(fk.modes), 2)
     invol_res = np.linalg.norm(j_mode @ np.conj(j_mode) - np.eye(fk.modes), 2)
     if max(unit_res, invol_res) > max(tol, 1e-8):
@@ -106,48 +98,54 @@ def modular_conjugation(dd: DoubledSpace, fk: TruncatedFock,
             f"restricted conjugation is not antiunitary "
             f"(unitary {unit_res:.3e}, involution {invol_res:.3e})"
         )
-    lifted = second_quantize_unitary(fk, j_mode)
-    return FockOperator(lifted.matrix, antilinear=True)
+    return FockOperator(_sym_power_csr(fk, j_mode), antilinear=True)
 
 
 @dataclass(frozen=True)
 class ModularData:
+    """Modular data on the doubling: the m x m Hermitian ``mode_hamiltonian``
+    h, ``generator`` dGamma(h), and powers of Delta as Gamma(e^{c h})."""
+
     one_particle: np.ndarray
+    mode_hamiltonian: np.ndarray
     generator: FockOperator
     conjugation: FockOperator
     fock: TruncatedFock
 
     @cached_property
-    def _theta_eigh(self):
-        """Eigendecomposition of the hermitized generator, taken once."""
-        theta = self.generator.matrix
-        return np.linalg.eigh(0.5 * (theta + theta.conj().T))
+    def _h_eigh(self):
+        """Eigendecomposition of the mode-space h, taken once."""
+        return np.linalg.eigh(self.mode_hamiltonian)
 
-    def _theta_fn(self, c) -> np.ndarray:
-        """exp(c Theta) through the cached eigendecomposition."""
-        vals, vecs = self._theta_eigh
-        return (vecs * np.exp(c * vals)) @ vecs.conj().T
+    def _gamma_exp(self, c) -> FockOperator:
+        """Gamma(e^{c h}) = e^{c dGamma(h)} through the cached eigendecomposition."""
+        vals, vecs = self._h_eigh
+        return second_quantize_unitary(self.fock,
+                                       (vecs * np.exp(c * vals)) @ vecs.conj().T)
 
-    def delta_power(self, z: float) -> np.ndarray:
-        """Delta^z = exp(-z Theta)."""
-        return self._theta_fn(-z)
+    def delta_power(self, z: float) -> FockOperator:
+        """Delta^z = Gamma(e^{-z h})."""
+        return self._gamma_exp(-z)
 
-    def delta_unitary(self, t: float) -> np.ndarray:
-        """Delta^{it} = exp(-i t Theta)."""
-        return self._theta_fn(-1j * t)
+    def delta_unitary(self, t: float) -> FockOperator:
+        """Delta^{it} = Gamma(e^{-i t h})."""
+        return self._gamma_exp(-1j * t)
 
 
 def build_modular(dd: DoubledSpace, fk: TruncatedFock,
                   eps: float = 1e-6) -> ModularData:
+    h_s = one_particle_modular(dd.base, eps)
+    h = _mode_hamiltonian(fk, h_s)
     return ModularData(
-        one_particle=one_particle_modular(dd.base, eps),
-        generator=modular_generator(dd, fk, eps),
+        one_particle=h_s,
+        mode_hamiltonian=h,
+        generator=modular_generator(fk, h),
         conjugation=modular_conjugation(dd, fk),
         fock=fk,
     )
 
 
-def delta_power(md: ModularData, z: float) -> np.ndarray:
+def delta_power(md: ModularData, z: float) -> FockOperator:
     return md.delta_power(z)
 
 

@@ -11,9 +11,9 @@ from qfsp import (
     one_particle_modular,
     tomita_residual,
 )
-from qfsp.fock import FockOperator, field_operator
+from qfsp.fock import FockOperator, field_operator, second_quantize_unitary
 from qfsp.modular import build_modular
-from qfsp.quasifree import fock_form, thermal_form
+from qfsp.quasifree import fock_form, thermal_form, transport_form
 from qfsp.sp_algebra import quantize, random_hamiltonian
 
 
@@ -72,7 +72,7 @@ def test_generator_flow_intertwines(thermal_setup, rng):
 def test_delta_unitary_fixes_vacuum(thermal_setup):
     _, _, fk, md = thermal_setup
     for t in (0.3, 1.7, -2.2):
-        u = md.delta_unitary(t)
+        u = md.delta_unitary(t).matrix
         assert np.linalg.norm(u @ fk.vacuum - fk.vacuum) <= 1e-10
         assert np.linalg.norm(u @ u.conj().T - np.eye(fk.dim)) <= 1e-8
 
@@ -101,25 +101,122 @@ def test_theta_decomposed_once(diag1, monkeypatch):
     dd = double(form)
     fk = build_fock(dd.hat_form, 12)
     md = build_modular(dd, fk)
-    theta = md.generator.matrix
-    # oracle: the per-call formula, one fresh eigh per power
-    vals, vecs = np.linalg.eigh(0.5 * (theta + theta.conj().T))
-    expect = [(vecs * np.exp(-0.5 * vals)) @ vecs.conj().T,
-              (vecs * np.exp(0.5 * vals)) @ vecs.conj().T,
-              (vecs * np.exp(-1j * 0.7 * vals)) @ vecs.conj().T]
-    calls = []
+    # oracle: the per-call formula, one fresh eigh of h per power
+    vals, vecs = np.linalg.eigh(md.mode_hamiltonian)
+    expect = [second_quantize_unitary(
+        fk, (vecs * np.exp(c * vals)) @ vecs.conj().T).matrix
+        for c in (-0.5, 0.5, -1j * 0.7)]
+    shapes = []
     eigh = np.linalg.eigh
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return eigh(*args, **kwargs)
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
 
     # qfsp.modular calls np.linalg.eigh through the numpy module
     monkeypatch.setattr(np.linalg, "eigh", counted)
     got = [md.delta_power(0.5), md.delta_power(-0.5), md.delta_unitary(0.7)]
-    assert len(calls) == 1
+    assert shapes == [(fk.modes, fk.modes)]
     for g, e in zip(got, expect):
-        assert np.array_equal(g, e)
+        assert np.array_equal(g.matrix, e)
+
+
+def _mode_h(dd, fk):
+    """Mode-space matrix M* G_S diag(H_S, H_S) M, formed independently."""
+    h_s = one_particle_modular(dd.base)
+    hat_h = sla.block_diag(h_s, h_s)
+    return fk.mode_basis.conj().T @ fk.form.gram @ hat_h @ fk.mode_basis
+
+
+def _dense_delta(dd, fk):
+    """The dense route: eigh of the hermitized, vacuum-subtracted q(hat H).
+
+    Its top sector is wrong (the b b-dagger terms of the truncated product
+    lose the states above the cutoff), so it is an oracle below the cutoff
+    only.
+    """
+    h_s = one_particle_modular(dd.base)
+    q = quantize(fk, Hamiltonian(sla.block_diag(h_s, h_s))).matrix
+    q = 0.5 * (q + q.conj().T)
+    vals, vecs = np.linalg.eigh(q - q[0, 0].real * np.eye(fk.dim))
+    return lambda c: (vecs * np.exp(c * vals)) @ vecs.conj().T
+
+
+def _transported_two_mode(diag2, rng, cutoff):
+    u = sla.expm(1j * random_hamiltonian(diag2, rng, 0.3).op)
+    form = transport_form(thermal_form(diag2, [0.3, 0.7]), u)
+    dd = double(form)
+    return dd, build_fock(dd.hat_form, cutoff)
+
+
+def test_delta_matches_dense_route_below_cutoff(diag1, diag2, rng):
+    dd1 = double(thermal_form(diag1, 0.5))
+    cases = [(dd1, build_fock(dd1.hat_form, 30)), _transported_two_mode(diag2, rng, 8)]
+    for dd, fk in cases:
+        md = build_modular(dd, fk)
+        dense = _dense_delta(dd, fk)
+        low = fk.totals < fk.cutoff
+        for c, got in ((-0.5, md.delta_power(0.5)), (0.5, md.delta_power(-0.5)),
+                       (-1.0, md.delta_power(1.0)), (-0.7j, md.delta_unitary(0.7))):
+            v = np.zeros(fk.dim, dtype=complex)
+            v[low] = rng.normal(size=int(low.sum())) + 1j * rng.normal(size=int(low.sum()))
+            want = dense(c) @ v
+            assert np.linalg.norm(got @ v - want) <= 1e-12 * np.linalg.norm(want)
+    # the transported form mixes the modes with complex weights, so h is
+    # not diagonal and differs from its transpose
+    h = _mode_h(*cases[1])
+    assert np.linalg.norm(h - np.diag(np.diag(h))) > 0.1
+    assert np.linalg.norm(h - h.T) > 0.1
+
+
+def test_generator_exact_on_top_sector(diag2, rng):
+    dd, fk = _transported_two_mode(diag2, rng, 8)
+    md = build_modular(dd, fk)
+    h = _mode_h(dd, fk)
+    dgamma = sum(h[i, j] * fk.create(i) @ fk.annihilate(j)
+                 for i in range(fk.modes) for j in range(fk.modes))
+    assert np.abs(md.generator.matrix - dgamma).max() <= 1e-12
+    assert np.allclose(md.mode_hamiltonian, h, atol=1e-13)
+    top = np.flatnonzero(fk.totals == fk.cutoff)
+    flow = sla.expm(-0.5 * dgamma)
+    for k in top[[0, len(top) // 2, -1]]:
+        e = np.zeros(fk.dim, dtype=complex)
+        e[k] = 1.0
+        want = flow @ e
+        assert np.linalg.norm(md.delta_power(0.5) @ e - want) <= \
+            1e-12 * np.linalg.norm(want)
+
+
+def test_mode_hamiltonian_rejects_non_conserving_generator(thermal_setup, rng):
+    from qfsp.errors import InternalConsistencyError
+    from qfsp.modular import _mode_hamiltonian
+
+    _, _, fk, md = thermal_setup
+    # a perturbation that does not commute with S breaks the block pair's
+    # commutation with the doubled projection
+    with pytest.raises(InternalConsistencyError):
+        _mode_hamiltonian(fk, md.one_particle + 0.1 * rng.normal(size=(2, 2)))
+
+
+def test_modular_command_forms_no_dense_fock_matrix(diag2, tmp_path, monkeypatch):
+    import scipy.sparse as sp
+
+    from qfsp.cli import main
+    from qfsp.serialize import dump_json, encode_form
+
+    path = str(tmp_path / "thermal.json")
+    dump_json(encode_form(thermal_form(diag2, [0.3, 0.7])), path)
+    calls = []
+    for cls in (sp.csr_matrix, sp.csr_array, sp.csc_matrix, sp.csc_array,
+                sp.coo_matrix, sp.coo_array):
+        def counted(self, *args, _orig=cls.toarray, **kwargs):
+            calls.append(type(self).__name__)
+            return _orig(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "toarray", counted)
+    assert main(["modular", path, "--cutoff", "8",
+                 "--out", str(tmp_path / "report.json")]) == 0
+    assert calls == []
 
 
 def test_conjugation_inverts_delta(thermal_setup, rng):
@@ -185,7 +282,7 @@ def test_two_point_kms_exactness(thermal_setup, rng):
     f = rng.normal(size=2) + 1j * rng.normal(size=2)
     bstar = field_operator(fk, dd.embed(form.space.conjugate(f))).matrix
     b = field_operator(fk, dd.embed(f)).matrix
-    delta = md.delta_power(1.0)
+    delta = md.delta_power(1.0).matrix
     lhs = np.vdot(fk.vacuum, bstar @ delta @ b @ fk.vacuum)
     rhs = np.vdot(fk.vacuum, b @ bstar @ fk.vacuum)
     assert abs(lhs - rhs) <= 1e-8
