@@ -43,8 +43,7 @@ def one_particle_modular(form: QuasifreeForm, eps: float = 1e-6) -> np.ndarray:
     return form.calculus.fn_of_eig(vals, vecs, np.log(vals / (1.0 - vals)))
 
 
-def _mode_hamiltonian(fk: TruncatedFock, h_s: np.ndarray,
-                      tol: float = 1e-10) -> np.ndarray:
+def _mode_hamiltonian(fk: TruncatedFock, h_s: np.ndarray) -> np.ndarray:
     """h = M* G_S diag(H_S, H_S) M on the mode space of the doubled projection.
 
     The block pair must commute with the doubled projection: that makes its
@@ -53,7 +52,7 @@ def _mode_hamiltonian(fk: TruncatedFock, h_s: np.ndarray,
     hat_h = np.kron(np.eye(2), h_s)
     p = fk.form.s_op
     leak = np.linalg.norm(hat_h @ p - p @ hat_h, 2)
-    if leak > tol * max(1.0, np.linalg.norm(hat_h, 2)):
+    if leak > 1e-10 * max(1.0, np.linalg.norm(hat_h, 2)):
         raise InternalConsistencyError(
             f"modular generator does not commute with the doubled projection: "
             f"{leak:.3e}"
@@ -82,7 +81,12 @@ def modular_conjugation(dd: DoubledSpace, fk: TruncatedFock,
     doubled projection and is antiunitary on its range; both facts are
     validated before the symmetric-power lift.
     """
-    omega_linear = np.kron([[0, 1], [1, 0]], dd.base.space.C).astype(complex)
+    base = dd.base
+    d = base.space.dim
+    c = base.space.C
+    omega_linear = np.zeros((2 * d, 2 * d), dtype=complex)
+    omega_linear[:d, d:] = c
+    omega_linear[d:, :d] = c
     # omega as an antilinear map is h -> omega_linear conj(h)
     p = fk.form.s_op
     commute = omega_linear @ np.conj(p) - p @ omega_linear
@@ -104,7 +108,7 @@ def modular_conjugation(dd: DoubledSpace, fk: TruncatedFock,
 @dataclass(frozen=True)
 class ModularData:
     """Modular data on the doubling: the m x m Hermitian ``mode_hamiltonian``
-    h, ``generator`` dGamma(h), and powers of Delta as Gamma(e^{c h})."""
+    h, ``generator`` dGamma(h), and powers Delta^z = Gamma(e^{-z h})."""
 
     one_particle: np.ndarray
     mode_hamiltonian: np.ndarray
@@ -117,19 +121,15 @@ class ModularData:
         """Eigendecomposition of the mode-space h, taken once."""
         return np.linalg.eigh(self.mode_hamiltonian)
 
-    def _gamma_exp(self, c) -> FockOperator:
-        """Gamma(e^{c h}) = e^{c dGamma(h)} through the cached eigendecomposition."""
+    def delta_power(self, z: complex) -> FockOperator:
+        """Delta^z = Gamma(e^{-z h}) through the cached eigendecomposition."""
         vals, vecs = self._h_eigh
         return second_quantize_unitary(self.fock,
-                                       (vecs * np.exp(c * vals)) @ vecs.conj().T)
-
-    def delta_power(self, z: float) -> FockOperator:
-        """Delta^z = Gamma(e^{-z h})."""
-        return self._gamma_exp(-z)
+                                       (vecs * np.exp(-z * vals)) @ vecs.conj().T)
 
     def delta_unitary(self, t: float) -> FockOperator:
         """Delta^{it} = Gamma(e^{-i t h})."""
-        return self._gamma_exp(-1j * t)
+        return self.delta_power(1j * t)
 
 
 def build_modular(dd: DoubledSpace, fk: TruncatedFock,
