@@ -147,6 +147,12 @@ def cmd_moments(path, config: RunConfig) -> int:
         raise ParseError("moments input needs keys 'form' and 'vectors'")
     form = decode_form(data["form"])
     vectors = [decode_complex_vector(v) for v in data["vectors"]]
+    for k, v in enumerate(vectors):
+        if len(v) != form.space.dim:
+            raise ParseError(f"vector {k} has length {len(v)}, "
+                             f"the space has dimension {form.space.dim}")
+        if not np.isfinite(v).all():
+            raise ParseError(f"vector {k} has non-finite entries")
     value = moment(form, vectors)
     n = len(vectors)
     from math import factorial

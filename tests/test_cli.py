@@ -56,6 +56,11 @@ def inputs(tmp_path, diag1):
         vectors.append([[float(x.real), float(x.imag)] for x in v])
     put("moments.json", {"form": encode_form(thermal_form(diag1, 0.25)),
                          "vectors": vectors})
+    for _ in range(12):  # the 16-vector input extends the 4 above
+        v = 0.6 * (rng.normal(size=2) + 1j * rng.normal(size=2))
+        vectors.append([[float(x.real), float(x.imag)] for x in v])
+    put("moments16.json", {"form": encode_form(thermal_form(diag1, 0.3)),
+                           "vectors": vectors})
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")
     paths["bad.json"] = str(bad)
@@ -80,6 +85,23 @@ def test_moments_command(inputs, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["pairing_count"] == 3
     assert out["difference"] <= 1e-10
+    # exit 0 means the doubled-Fock oracle agrees to --tol
+    assert main(["moments", inputs["moments16.json"], "--bruteforce"]) == 0
+    assert json.loads(capsys.readouterr().out)["pairing_count"] == 2027025
+
+
+@pytest.mark.parametrize("bad, message", [
+    ([[0.5, 0.5]] * 3, "vector 1 has length 3"),
+    ([[0.5, 0.5]], "vector 1 has length 1"),
+    ([[float("nan"), 0.0], [1.0, 0.0]], "vector 1 has non-finite entries"),
+], ids=["too-long", "too-short", "nan"])
+def test_moments_rejects_malformed_vector(tmp_path, diag1, capsys, bad, message):
+    path = tmp_path / "moments.json"
+    # json.dumps writes NaN as a literal that json.load accepts
+    path.write_text(json.dumps({"form": encode_form(thermal_form(diag1, 0.25)),
+                                "vectors": [[[1.0, 0.0], [0.0, 1.0]], bad]}))
+    assert main(["moments", str(path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_overlap_command(inputs, capsys):

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qfsp import (
     DegenerateFormError,
@@ -17,6 +20,7 @@ from qfsp import (
 )
 from qfsp.fock import build_fock, field_operator
 from qfsp.quasifree import (
+    _matching_sum,
     direct_sum_form,
     fock_form,
     pairings,
@@ -212,18 +216,56 @@ def test_moment_two_point_defining_relation(diag2, rng):
         assert abs(lhs - diag2.gamma(a, b)) <= 1e-12 * scale
 
 
-def test_moment_matches_fock_oracle(diag2, rng):
-    f = thermal_form(diag2, [0.25, 0.4])
-    dd = double(f)
-    fk = build_fock(dd.hat_form, 6)
-    for n in (4, 6):
-        vecs = [rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(n)]
-        value = moment(f, vecs)
-        state = fk.vacuum
-        for v in reversed(vecs):
-            state = field_operator(fk, dd.embed(v)).matrix @ state
-        oracle = complex(np.vdot(fk.vacuum, state))
-        assert abs(value - oracle) <= 1e-8 * max(1.0, abs(oracle))
+def test_moment_matches_fock_oracle(diag1, diag2, rng):
+    # (form, doubled-Fock cutoff, numbers of vectors); the cutoff is at least
+    # the number of vectors, so the field products are not truncated
+    cases = [(thermal_form(diag2, [0.25, 0.4]), 6, (4, 6)),
+             (transport_form(thermal_form(diag1, 0.3), squeeze(0.3)), 18, (16,))]
+    for f, cutoff, sizes in cases:
+        dd = double(f)
+        fk = build_fock(dd.hat_form, cutoff)
+        d = f.space.dim
+        for n in sizes:
+            vecs = [rng.normal(size=d) + 1j * rng.normal(size=d) for _ in range(n)]
+            value = moment(f, vecs)
+            state = fk.vacuum
+            for v in reversed(vecs):
+                state = field_operator(fk, dd.embed(v)).matrix @ state
+            oracle = complex(np.vdot(fk.vacuum, state))
+            assert abs(value - oracle) <= 1e-8 * max(1.0, abs(oracle))
+
+
+def _pairing_terms(a, n):
+    """The (n - 1)!! products of the flat pairing sum, in enumeration order."""
+    return [math.prod((a[i][j] for i, j in match), start=1.0 + 0.0j)
+            for match in pairings(list(range(n)))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10), st.integers(0, 2**32 - 1))
+def test_matching_sum_matches_pairing_sum(n, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    terms = _pairing_terms(a.tolist(), n)
+    got = _matching_sum(a)
+    if n % 2:
+        assert terms == [] and got == 0.0
+        return
+    # rounding grows with the terms' magnitudes, not with their cancelling sum
+    scale = sum(abs(t) for t in terms)
+    assert abs(got - sum(terms)) <= 1e-13 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10).flatmap(lambda n: st.lists(
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    min_size=n * n, max_size=n * n).map(lambda e: (n, e))))
+def test_matching_sum_exact_on_gaussian_integers(case):
+    # products and sums of small Gaussian integers are exact in floating
+    # point, so the two summation orders must agree bit for bit
+    n, entries = case
+    a = np.array([complex(re, im) for re, im in entries]).reshape(n, n)
+    assert _matching_sum(a) == sum(_pairing_terms(a.tolist(), n), 0.0 + 0.0j)
 
 
 def test_symplectic_complement_trivial_cases(diag2):
