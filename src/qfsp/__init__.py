@@ -53,7 +53,6 @@ from .fock import (
 )
 from .sp_algebra import (
     Hamiltonian,
-    RankDecomposition,
     basis_hamiltonian,
     cyclic_span,
     implementer,

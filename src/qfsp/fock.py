@@ -6,10 +6,10 @@ shift total number by at most two and that makes the truncation error
 uniform.  Field and Weyl operators, exponential vectors, parity and number
 structure, and tensor factorization checks live here.
 
-Ladder operators, fields B(f) and symmetric powers Gamma(R) are assembled
-as scipy CSR matrices, and a FockOperator stores that CSR form.  A dense
-matrix is formed only on request, through ``FockOperator.matrix`` or
-``create``/``annihilate``.
+Ladder operators, fields B(f), normal-ordered quadratics and symmetric
+powers Gamma(R) are scipy CSR matrices; a FockOperator stores that form.
+A dense matrix is formed only on request, through ``FockOperator.matrix``
+or ``create``/``annihilate``.
 """
 
 from __future__ import annotations
@@ -133,6 +133,23 @@ class TruncatedFock:
         return csr_matrix((np.asarray(coefs)[which] * weight, cols, indptr),
                           shape=(self.dim, self.dim))
 
+    def _quadratic(self, a, pair, unpair, const=0.0):
+        """CSR matrix of sum_ik a_ik bdag_i b_k + pair_ik bdag_i bdag_k
+        + unpair_ik b_i b_k + const.
+
+        Products of truncated ladders in normal order are the exact
+        compression on every sector; anti-normal b bdag would lose the top one.
+        """
+        from scipy.sparse import identity
+
+        m = self.modes
+        a, pair, unpair = (np.broadcast_to(c, (m, m)) for c in (a, pair, unpair))
+        rows = np.block([[pair, a], [np.zeros((m, m)), unpair]])
+        out = const * identity(self.dim, dtype=complex, format="csr")
+        for unit, row in zip(np.eye(2 * m), rows):
+            out = out + self._ladder_sum(unit) @ self._ladder_sum(row)
+        return out
+
     def create(self, mode: int) -> np.ndarray:
         return self._ladder_sum(np.eye(2 * self.modes)[mode]).toarray()
 
@@ -196,23 +213,18 @@ def build_fock(form: QuasifreeForm, cutoff: int,
     return TruncatedFock(form=form, cutoff=cutoff, mode_basis=basis)
 
 
-def _field_csr(fk: TruncatedFock, f: np.ndarray):
-    """CSR matrix of B(f) = creation(P f) + annihilation(P Gamma f)."""
-    f = np.asarray(f, dtype=complex)
-    p = fk.form.s_op
-    return fk._ladder_sum(np.concatenate([
-        fk.mode_coords(p @ f),
-        np.conj(fk.mode_coords(p @ fk.form.space.conjugate(f))),
-    ]))
-
-
 def field_operator(fk: TruncatedFock, f: np.ndarray) -> FockOperator:
     """B(f) = creation(P f) + annihilation(P Gamma f), stored as CSR.
 
     Complex linear in f; the matrix adjoint is exactly the matrix of
     B(Gamma f) in the truncated basis.
     """
-    return FockOperator(_field_csr(fk, f))
+    f = np.asarray(f, dtype=complex)
+    p = fk.form.s_op
+    return FockOperator(fk._ladder_sum(np.concatenate([
+        fk.mode_coords(p @ f),
+        np.conj(fk.mode_coords(p @ fk.form.space.conjugate(f))),
+    ])))
 
 
 def weyl(fk: TruncatedFock, f: np.ndarray, tol: float = 1e-8) -> FockOperator:

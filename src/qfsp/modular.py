@@ -62,15 +62,10 @@ def _mode_hamiltonian(fk: TruncatedFock, h_s: np.ndarray) -> np.ndarray:
 
 
 def modular_generator(fk: TruncatedFock, h: np.ndarray) -> FockOperator:
-    """Normal-ordered dGamma(h) = sum_i bdag_i (sum_j h_ij b_j) of the m x m
+    """Normal-ordered dGamma(h) = sum_ij h_ij bdag_i b_j of the m x m
     mode-space h, stored as CSR; it annihilates the vacuum, conserves
     particle number and, being normal ordered, is exact on every sector."""
-    zeros = np.zeros(fk.modes)
-    return FockOperator(sum(
-        fk._ladder_sum(np.concatenate([unit, zeros]))
-        @ fk._ladder_sum(np.concatenate([zeros, row]))
-        for unit, row in zip(np.eye(fk.modes), h)
-    ))
+    return FockOperator(fk._quadratic(h, 0, 0))
 
 
 def modular_conjugation(dd: DoubledSpace, fk: TruncatedFock,
@@ -112,9 +107,13 @@ class ModularData:
 
     one_particle: np.ndarray
     mode_hamiltonian: np.ndarray
-    generator: FockOperator
     conjugation: FockOperator
     fock: TruncatedFock
+
+    @cached_property
+    def generator(self) -> FockOperator:
+        """dGamma(h), assembled on first use."""
+        return modular_generator(self.fock, self.mode_hamiltonian)
 
     @cached_property
     def _h_eigh(self):
@@ -139,7 +138,6 @@ def build_modular(dd: DoubledSpace, fk: TruncatedFock,
     return ModularData(
         one_particle=h_s,
         mode_hamiltonian=h,
-        generator=modular_generator(fk, h),
         conjugation=modular_conjugation(dd, fk),
         fock=fk,
     )

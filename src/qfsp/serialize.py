@@ -38,6 +38,8 @@ def decode_complex_matrix(data) -> np.ndarray:
         raise ParseError(
             f"complex matrix must be square with [re, im] entries; got shape {arr.shape}"
         )
+    if not np.isfinite(arr).all():
+        raise ParseError("complex matrix has non-finite entries")
     return arr[..., 0] + 1j * arr[..., 1]
 
 

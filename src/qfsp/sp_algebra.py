@@ -1,9 +1,10 @@
 """Finite-rank symplectic Lie algebra elements and their second quantization.
 
 A Hamiltonian is a matrix H with gamma_adjoint(H) = H and Gamma H Gamma = -H.
-Its bilinear quantization is q(H) = (1/2) sum_j B(f_j) B(g_j)^* over any rank
-decomposition H f = sum_j gamma(g_j, f) f_j; the result is independent of the
-decomposition, which is asserted by tests rather than assumed.
+Its bilinear quantization q(H) = (1/2) sum_j B(f_j) B(g_j)^* over a rank
+decomposition H f = sum_j gamma(g_j, f) f_j depends on the pairs only through
+sum_j f_j g_j^* = H G^-1, so it is assembled from H directly, normal ordered,
+and is the exact compression of the untruncated q(H) on every sector.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .fock import FockOperator, TruncatedFock, _field_csr
+from .fock import FockOperator, TruncatedFock
 from .linalg import expm_apply
 from .phase_space import (
     PhaseSpace,
@@ -24,7 +25,6 @@ from .phase_space import (
 
 __all__ = [
     "Hamiltonian",
-    "RankDecomposition",
     "validate_hamiltonian",
     "basis_hamiltonian",
     "rank_decompose",
@@ -47,18 +47,6 @@ class Hamiltonian:
         m = np.array(self.op, dtype=complex)
         m.setflags(write=False)
         object.__setattr__(self, "op", m)
-
-
-@dataclass(frozen=True)
-class RankDecomposition:
-    pairs: list  # list of (f_j, g_j) with H f = sum_j gamma(g_j, f) f_j
-
-    def reconstruct(self, ps: PhaseSpace) -> np.ndarray:
-        d = ps.dim
-        out = np.zeros((d, d), dtype=complex)
-        for f, g in self.pairs:
-            out += np.outer(f, np.conj(ps.G @ g))
-        return out
 
 
 def validate_hamiltonian(ps: PhaseSpace, h, tol: float = 1e-10) -> ValidationReport:
@@ -87,8 +75,7 @@ def hamiltonian_projection(ps: PhaseSpace, m: np.ndarray) -> Hamiltonian:
 
 def random_hamiltonian(ps: PhaseSpace, rng, scale: float = 1.0) -> Hamiltonian:
     raw = rng.normal(size=(ps.dim, ps.dim)) + 1j * rng.normal(size=(ps.dim, ps.dim))
-    h = hamiltonian_projection(ps, scale * raw / np.sqrt(ps.dim))
-    return h
+    return hamiltonian_projection(ps, scale * raw / np.sqrt(ps.dim))
 
 
 def _pair_generator(ps: PhaseSpace, g: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -126,9 +113,9 @@ def basis_hamiltonian(ps: PhaseSpace, modes, kind: int, k: int, l: int) -> Hamil
     return Hamiltonian(_pair_generator(ps, g, h))
 
 
-def rank_decompose(ps: PhaseSpace, h: Hamiltonian,
-                   tol: float = 1e-10) -> RankDecomposition:
-    """Pairs (f_j, g_j) through a canonical basis of the envelope of range(H).
+def rank_decompose(ps: PhaseSpace, h: Hamiltonian, tol: float = 1e-10) -> list:
+    """Pairs (f_j, g_j) with H f = sum_j gamma(g_j, f) f_j, through a
+    canonical basis of the envelope of range(H).
 
     With gamma(e_1, e_2) = i pattern on the extension basis,
     H f = i sum_j (gamma(H e_{2j}, f) e_{2j-1} - gamma(H e_{2j-1}, f) e_{2j}).
@@ -136,7 +123,7 @@ def rank_decompose(ps: PhaseSpace, h: Hamiltonian,
     m = h.op
     norm = np.linalg.norm(m, 2)
     if norm <= tol:
-        return RankDecomposition(pairs=[])
+        return []
     cols = [m[:, j] for j in range(ps.dim)
             if np.linalg.norm(m[:, j]) > tol * norm]
     basis = symplectic_extension(ps, cols)
@@ -145,30 +132,32 @@ def rank_decompose(ps: PhaseSpace, h: Hamiltonian,
         e_odd, e_even = basis[2 * j], basis[2 * j + 1]
         pairs.append((1j * e_odd, m @ e_even))
         pairs.append((-1j * e_even, m @ e_odd))
-    return RankDecomposition(pairs=pairs)
+    return pairs
 
 
-def _quantize_csr(fk: TruncatedFock, h: Hamiltonian,
-                  decomposition: RankDecomposition | None = None):
-    """CSR matrix of q(H) = (1/2) sum_j B(f_j) B(Gamma g_j)."""
-    from scipy.sparse import csr_matrix
+def _quantize_csr(fk: TruncatedFock, h: Hamiltonian):
+    """CSR matrix of q(H) = (1/2) sum_j B(f_j) B(Gamma g_j), normal ordered.
 
-    ps = fk.form.space
-    dec = decomposition or rank_decompose(ps, h)
-    out = csr_matrix((fk.dim, fk.dim), dtype=complex)
-    for f, g in dec.pairs:
-        out = out + _field_csr(fk, f) @ _field_csr(fk, ps.conjugate(g))
-    return 0.5 * out
+    B(f) = (K f) . (bdag, b) with K = [M* G_S P; conj(M* G_S P C)], so q(H)
+    is (bdag, b)^T W (bdag, b) with W = (1/2) K H G^-1 C^T K^T; moving the
+    b bdag block into normal order adds its trace as a constant.
+    """
+    ps, m = fk.form.space, fk.modes
+    row = fk.mode_basis.conj().T @ fk.form.gram @ fk.form.s_op
+    k = np.vstack([row, np.conj(row @ ps.C)])
+    w = 0.5 * k @ h.op @ np.linalg.inv(ps.G) @ ps.C.T @ k.T
+    return fk._quadratic(w[:m, m:] + w[m:, :m].T, w[:m, :m], w[m:, m:],
+                         np.trace(w[m:, :m]))
 
 
-def quantize(fk: TruncatedFock, h: Hamiltonian,
-             decomposition: RankDecomposition | None = None) -> FockOperator:
+def quantize(fk: TruncatedFock, h: Hamiltonian) -> FockOperator:
     """Bilinear Hamiltonian q(H) = (1/2) sum_j B(f_j) B(g_j)^* on the Fock model.
 
     B(g)^* is realized as B(Gamma g), which is the exact matrix adjoint in
-    the occupation basis.
+    the occupation basis.  The result is normal ordered: the exact compression
+    of the untruncated q(H) on every sector, with no rank decomposition of H.
     """
-    return FockOperator(_quantize_csr(fk, h, decomposition))
+    return FockOperator(_quantize_csr(fk, h))
 
 
 def implementer(fk: TruncatedFock, h: Hamiltonian) -> FockOperator:

@@ -133,6 +133,19 @@ def test_overlap_rejects_mixed_form(inputs, capsys):
                  "--cutoff", "12"]) == 1
 
 
+@pytest.mark.parametrize("command", ["overlap", "implement"])
+def test_non_finite_symplectic_map_is_a_parse_error(inputs, tmp_path, capsys,
+                                                    command):
+    path = tmp_path / "nan_u.json"
+    # json.dumps writes NaN as a literal that json.load accepts
+    path.write_text(json.dumps([[[float("nan"), 0.0], [0.0, 0.0]],
+                                [[0.0, 0.0], [1.0, 0.0]]]))
+    args = ([inputs["fock.json"], str(path)] if command == "overlap"
+            else [str(path), inputs["fock.json"]])
+    assert main([command, *args, "--cutoff", "12"]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_implement_command(inputs, capsys):
     assert main(["implement", inputs["squeeze04.json"], inputs["fock.json"],
                  "--cutoff", "40", "--bruteforce"]) == 0

@@ -131,9 +131,8 @@ def _mode_h(dd, fk):
 def _dense_delta(dd, fk):
     """The dense route: eigh of the hermitized, vacuum-subtracted q(hat H).
 
-    Its top sector is wrong (the b b-dagger terms of the truncated product
-    lose the states above the cutoff), so it is an oracle below the cutoff
-    only.
+    q(hat H) is normal ordered, so this route is exact on every sector; it
+    shares no code with Gamma(e^{-z h}) beyond the ladder layout.
     """
     h_s = one_particle_modular(dd.base)
     q = quantize(fk, Hamiltonian(sla.block_diag(h_s, h_s))).matrix
@@ -185,6 +184,16 @@ def test_generator_exact_on_top_sector(diag2, rng):
         want = flow @ e
         assert np.linalg.norm(md.delta_power(0.5) @ e - want) <= \
             1e-12 * np.linalg.norm(want)
+
+
+def test_quantized_block_pair_is_generator_plus_vacuum_energy(diag2, rng):
+    """q(diag(H_S, H_S)) - q_00 1 = dGamma(h) on every sector, the top one
+    included: both are normal ordered."""
+    dd, fk = _transported_two_mode(diag2, rng, 8)
+    md = build_modular(dd, fk)
+    q = quantize(fk, Hamiltonian(sla.block_diag(md.one_particle,
+                                                md.one_particle))).matrix
+    assert np.abs(q - q[0, 0] * np.eye(fk.dim) - md.generator.matrix).max() <= 1e-12
 
 
 def test_mode_hamiltonian_rejects_non_conserving_generator(thermal_setup, rng):

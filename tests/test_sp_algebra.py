@@ -19,7 +19,7 @@ from qfsp import (
 )
 from qfsp.fock import build_fock, field_operator, number_operator, parity_split, weyl
 from qfsp.quasifree import fock_form, thermal_form
-from qfsp.sp_algebra import RankDecomposition, random_hamiltonian
+from qfsp.sp_algebra import random_hamiltonian
 from conftest import real_vec
 
 
@@ -77,33 +77,26 @@ def test_gauge_generator_value(diag1):
                               fk.cutoff - 2) <= 1e-12
 
 
+def _reconstruct(ps, pairs):
+    """The matrix f -> sum_j gamma(g_j, f) f_j of a list of pairs."""
+    return sum((np.outer(f, np.conj(ps.G @ g)) for f, g in pairs),
+               np.zeros((ps.dim, ps.dim), dtype=complex))
+
+
 def test_rank_decompose_zero_and_reconstruction(diag2, rng):
-    assert rank_decompose(diag2, Hamiltonian(np.zeros((4, 4)))).pairs == []
+    assert rank_decompose(diag2, Hamiltonian(np.zeros((4, 4)))) == []
     for _ in range(10):
         h = random_hamiltonian(diag2, rng)
-        dec = rank_decompose(diag2, h)
-        res = np.linalg.norm(dec.reconstruct(diag2) - h.op, 2)
+        res = np.linalg.norm(_reconstruct(diag2, rank_decompose(diag2, h)) - h.op, 2)
         assert res <= 1e-10 * max(1.0, np.linalg.norm(h.op, 2))
 
 
 def test_rank_decompose_gauge_pair_count(diag1):
     fk = build_fock(fock_form(diag1), 3)
     h = basis_hamiltonian(diag1, fk.mode_basis, 1, 0, 0)
-    dec = rank_decompose(diag1, h)
-    assert len(dec.pairs) == 2
-    assert np.linalg.norm(dec.reconstruct(diag1) - h.op) <= 1e-12
-
-
-def test_quantize_decomposition_independence(diag2, rng):
-    fk = build_fock(fock_form(diag2), 8)
-    for _ in range(5):
-        h = random_hamiltonian(diag2, rng)
-        canonical = quantize(fk, h).matrix
-        dec = rank_decompose(diag2, h)
-        # shuffle and rescale the pairs: same operator by linearity in gamma
-        pairs = [(2.0 * f, 0.5 * g) for f, g in reversed(dec.pairs)]
-        other = quantize(fk, h, RankDecomposition(pairs)).matrix
-        assert fk.restricted_norm(canonical - other, fk.cutoff - 2) <= 1e-10
+    pairs = rank_decompose(diag1, h)
+    assert len(pairs) == 2
+    assert np.linalg.norm(_reconstruct(diag1, pairs) - h.op) <= 1e-12
 
 
 def test_quantize_real_linearity(diag2, rng):
@@ -219,13 +212,37 @@ def _dense_field(fk, f):
     return sum(c[i] * fk.create(i) + d[i] * fk.annihilate(i) for i in range(fk.modes))
 
 
+def _field_product_sum(fk, ps, pairs):
+    """(1/2) sum_j B(f_j) B(Gamma g_j), formed densely two sectors above
+    ``fk`` and compressed to it."""
+    big = build_fock(fk.form, fk.cutoff + 2)
+    return 0.5 * sum(_dense_field(big, f) @ _dense_field(big, ps.conjugate(g))
+                     for f, g in pairs)[:fk.dim, :fk.dim]
+
+
+def test_quantize_decomposition_independence(diag2, rng):
+    fk = build_fock(fock_form(diag2), 8)
+    for _ in range(5):
+        h = random_hamiltonian(diag2, rng)
+        # shuffle and rescale the pairs: same operator by linearity in gamma
+        pairs = [(2.0 * f, 0.5 * g) for f, g in reversed(rank_decompose(diag2, h))]
+        other = _field_product_sum(fk, diag2, pairs)
+        assert np.linalg.norm(quantize(fk, h).matrix - other, 2) <= 1e-10
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from([1, 2]), st.integers(3, 8), st.integers(0, 2**32 - 1))
 def test_sparse_quantize_matches_dense_field_products(modes, cutoff, seed):
+    """q(H) is the compression of the field-product sum formed two sectors
+    higher, on every sector.
+
+    The sum is compared with q of the operator its pairs add up to: the
+    Gram-Schmidt inside rank_decompose leaves that operator up to ~1e-13
+    away from H, which is rank_decompose's rounding, not quantize's.
+    """
     ps = build_standard(modes, Presentation.DIAGONAL)
     fk = build_fock(fock_form(ps), cutoff)
-    h = random_hamiltonian(ps, np.random.default_rng(seed))
-    want = 0.5 * sum(_dense_field(fk, f) @ _dense_field(fk, ps.conjugate(g))
-                     for f, g in rank_decompose(ps, h).pairs)
-    got = quantize(fk, h).matrix
+    pairs = rank_decompose(ps, random_hamiltonian(ps, np.random.default_rng(seed)))
+    want = _field_product_sum(fk, ps, pairs)
+    got = quantize(fk, Hamiltonian(_reconstruct(ps, pairs))).matrix
     assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
