@@ -55,7 +55,6 @@ from .sp_algebra import (
     Hamiltonian,
     basis_hamiltonian,
     cyclic_span,
-    implementer,
     lie_residual,
     quantize,
     rank_decompose,

@@ -46,6 +46,8 @@ __all__ = [
     "mode_expression",
 ]
 
+INTERIOR_TOL = 1e-9
+
 
 def norm_equivalence_bounds(form: QuasifreeForm, other: QuasifreeForm):
     """Sharp constants with alpha ||f||_S <= ||f||_S' <= beta ||f||_S.
@@ -70,7 +72,7 @@ def discriminant(form: QuasifreeForm, other: QuasifreeForm) -> np.ndarray:
     S'_op, so each factor comes from one cached eigendecomposition.
     """
     for f in (form, other):
-        require_half_free(f, HALF_EIGENVALUE_TOL)
+        require_half_free(f)
     eye = np.eye(form.space.dim)
     vals, vecs = form.s_eig
     left = form.calculus.fn_of_eig(
@@ -93,8 +95,7 @@ def hs_discriminant(form: QuasifreeForm, other: QuasifreeForm) -> float:
     return float(max(val.real, 0.0))
 
 
-def state_distance_lower_bound(form: QuasifreeForm, other: QuasifreeForm,
-                               interior_tol: float = 1e-9) -> float:
+def state_distance_lower_bound(form: QuasifreeForm, other: QuasifreeForm) -> float:
     """2 (1 - det over the doubled range of (P P' P)^(-1/4)).
 
     Both spectra must lie strictly inside (0, 1); the determinant is the
@@ -103,7 +104,7 @@ def state_distance_lower_bound(form: QuasifreeForm, other: QuasifreeForm,
     """
     for f in (form, other):
         vals, _ = f.s_eig
-        if vals.min() < interior_tol or vals.max() > 1.0 - interior_tol:
+        if vals.min() < INTERIOR_TOL or vals.max() > 1.0 - INTERIOR_TOL:
             raise InvalidArgumentError(
                 "state distance bound requires 0 < S < 1 on both sides"
             )
@@ -122,8 +123,7 @@ class PairReport:
     projection_mismatch: bool
 
 
-def classify_pair(form: QuasifreeForm, other: QuasifreeForm,
-                  tol: float = 1e-10) -> PairReport:
+def classify_pair(form: QuasifreeForm, other: QuasifreeForm) -> PairReport:
     """Single-pair report: norm constants, discriminant sizes and flags.
 
     At finite dimension both criteria always hold; a projection paired with
@@ -133,8 +133,8 @@ def classify_pair(form: QuasifreeForm, other: QuasifreeForm,
     alpha, beta = norm_equivalence_bounds(form, other)
     hs = hs_discriminant(form, other)
     hs_m = hs_discriminant(other, form)
-    cls_a = "BasisProjection" if form.is_basis_projection(tol) else "Mixed"
-    cls_b = "BasisProjection" if other.is_basis_projection(tol) else "Mixed"
+    cls_a = "BasisProjection" if form.is_basis_projection() else "Mixed"
+    cls_b = "BasisProjection" if other.is_basis_projection() else "Mixed"
     return PairReport(
         alpha=alpha,
         beta=beta,
@@ -249,24 +249,20 @@ def verdict_from_evidence(evidence: dict, config: FamilyConfig) -> Verdict:
     return Verdict("Inconclusive", evidence)
 
 
-def classify_family(family: ModeFamily, config: FamilyConfig | None = None,
-                    threads: int = 1) -> Verdict:
+def classify_family(family: ModeFamily, config: FamilyConfig | None = None) -> Verdict:
     """Evaluate every block and reduce deterministically.
 
     Families with ``stacked`` blocks are evaluated in one batched pass, a
     bounded chunk of mode indices at a time; other families call the
-    per-pair functions block by block.  ``threads`` must be at least 1 and
-    changes nothing: the work runs in the calling thread, so the verdict
-    cannot depend on it.  A failing block raises InvalidArgumentError naming
-    the first such k.
+    per-pair functions block by block, in the calling thread.  The evidence
+    series ``k``, ``t``, ``alpha`` and ``beta`` are numpy arrays.  A failing
+    block raises InvalidArgumentError naming the first such k.
     """
-    if threads < 1:
-        raise InvalidArgumentError("threads must be at least 1")
     config = config or FamilyConfig()
     n = family.n_max
     if family.stacked is None:
-        rows = [_pair_evidence(family, k) for k in range(1, n + 1)]
-        t, alpha, beta = ([row[i] for row in rows] for i in range(3))
+        rows = np.array([_pair_evidence(family, k) for k in range(1, n + 1)],
+                        dtype=float).reshape(n, 3).T
     else:
         rows = np.empty((3, n))
         # chunks bound the memory of the stacked temporaries
@@ -278,8 +274,8 @@ def classify_family(family: ModeFamily, config: FamilyConfig | None = None,
                 raise InvalidArgumentError(
                     f"block {ks[bad[0]]} failed: {_BLOCK_FAILURES[fail[bad[0]]]}")
             rows[:, ks - 1] = t, alpha, beta
-        t, alpha, beta = rows.tolist()
-    evidence = {"k": list(range(1, n + 1)), "t": t, "alpha": alpha, "beta": beta}
+    t, alpha, beta = rows
+    evidence = {"k": np.arange(1, n + 1), "t": t, "alpha": alpha, "beta": beta}
     return verdict_from_evidence(evidence, config)
 
 

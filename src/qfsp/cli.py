@@ -8,9 +8,9 @@ go to CSV.  Exit codes: 0 pass/equivalent, 1 math-invalid, 2 parse,
 Reports are byte-deterministic for a fixed (inputs, config, seed).
 `classify` evaluates all blocks of a thermal_pair family in one batched
 pass, and explicit families block by block, in the calling thread.
---threads (default QFSP_THREADS, else 1) is accepted and must be at least 1,
-but the thread count changes nothing in any command, so reports are
-byte-identical for every value.
+--threads (default QFSP_THREADS, else 1) is accepted for compatibility and
+must be at least 1; no command reads it, so reports are byte-identical for
+every value.
 """
 
 from __future__ import annotations
@@ -68,6 +68,10 @@ EXIT_INCONCLUSIVE = 4
 EXIT_CUTOFF = 5
 
 MODULAR_MIN_CUTOFF = 8
+# sectors within this many particles of the cutoff count as truncation tail
+TAIL_MARGIN = 4
+# entry scale of the random Hamiltonians behind the cocycle samples
+SAMPLE_SCALE = 0.4
 
 
 @dataclass
@@ -75,7 +79,6 @@ class RunConfig:
     cutoff: int = 16
     tol: float = 1e-6
     seed: int = 0
-    threads: int = 1
     out: str | None = None
     bruteforce: bool = False
     n_max: int | None = None
@@ -86,24 +89,24 @@ class RunConfig:
             raise ParseError("tolerance must be positive")
         if self.cutoff < 4:
             raise ParseError("cutoff must be at least 4 for Fock-level commands")
-        if self.threads < 1:
-            raise ParseError("threads must be at least 1")
 
 
 def _config_from_args(args) -> RunConfig:
     threads = args.threads
     if threads is None:
         threads = int(os.environ.get("QFSP_THREADS", "1"))
-    return RunConfig(
+    config = RunConfig(
         cutoff=args.cutoff,
         tol=args.tol,
         seed=args.seed,
-        threads=threads,
         out=args.out,
         bruteforce=args.bruteforce,
         n_max=getattr(args, "n_max", None),
         thresholds=getattr(args, "thresholds", None),
     )
+    if threads < 1:  # validated, but no command reads it
+        raise ParseError("threads must be at least 1")
+    return config
 
 
 def _emit(report: dict, config: RunConfig) -> None:
@@ -184,20 +187,26 @@ def _moment_bruteforce(form: QuasifreeForm, vectors, config: RunConfig) -> compl
     return complex(np.vdot(fk.vacuum, vec))
 
 
-def _squeezing_tail_mass(fk, vec, margin: int = 4) -> float:
-    mask = ~fk.sector_mask(fk.cutoff - margin)
+def _squeezing_tail_mass(fk, vec) -> float:
+    mask = ~fk.sector_mask(fk.cutoff - TAIL_MARGIN)
     return float(np.linalg.norm(vec[mask]) ** 2)
 
 
-def cmd_overlap(p_path, u_path, config: RunConfig) -> int:
+def _load_projection_and_map(command: str, p_path, u_path, config: RunConfig):
+    """The basis-projection form and symplectic matrix of overlap/implement."""
     form = decode_form(load_json(p_path))
     u_mat = decode_complex_matrix(load_json(u_path))
     rep = validate_form(form)
     if not rep.valid or rep.classification != "BasisProjection":
-        raise QfspError("overlap needs a valid basis-projection form")
+        raise QfspError(f"{command} needs a valid basis-projection form")
     urep = validate_symplectic(form.space, u_mat, tol=max(config.tol, 1e-9))
     if not urep.valid:
         raise QfspError(f"matrix is not symplectic: {urep.residuals}")
+    return form, u_mat
+
+
+def cmd_overlap(p_path, u_path, config: RunConfig) -> int:
+    form, u_mat = _load_projection_and_map("overlap", p_path, u_path, config)
     other = transport_form(form, u_mat)
     th = theta(form, other)
     th_vals = np.linalg.eigvalsh(form.calculus.to_hermitian(th))
@@ -220,7 +229,7 @@ def cmd_overlap(p_path, u_path, config: RunConfig) -> int:
     return EXIT_OK if report["difference"] <= config.tol else EXIT_INVALID
 
 
-def _real_symplectic_sample(fk, rng, scale: float = 0.4) -> SymplecticMap:
+def _real_symplectic_sample(fk, rng) -> SymplecticMap:
     """Random real-structured symplectic map (a real matrix exponential).
 
     The Hamiltonian is projected onto its purely imaginary part, so exp(iH)
@@ -231,21 +240,14 @@ def _real_symplectic_sample(fk, rng, scale: float = 0.4) -> SymplecticMap:
 
     ps = fk.form.space
     raw = (rng.normal(size=(ps.dim, ps.dim))
-           + 1j * rng.normal(size=(ps.dim, ps.dim))) * scale
+           + 1j * rng.normal(size=(ps.dim, ps.dim))) * SAMPLE_SCALE
     h = hamiltonian_projection(ps, raw)
     h_imag = Hamiltonian(0.5 * (h.op - np.conj(h.op)))
     return SymplecticMap(sla.expm(1j * h_imag.op).real.astype(complex))
 
 
 def cmd_implement(u_path, p_path, config: RunConfig) -> int:
-    form = decode_form(load_json(p_path))
-    u_mat = decode_complex_matrix(load_json(u_path))
-    rep = validate_form(form)
-    if not rep.valid or rep.classification != "BasisProjection":
-        raise QfspError("implement needs a valid basis-projection form")
-    urep = validate_symplectic(form.space, u_mat, tol=max(config.tol, 1e-9))
-    if not urep.valid:
-        raise QfspError(f"matrix is not symplectic: {urep.residuals}")
+    form, u_mat = _load_projection_and_map("implement", p_path, u_path, config)
     if config.cutoff < MODULAR_MIN_CUTOFF:
         raise TruncationError("implement needs --cutoff >= 8")
     u = SymplecticMap(u_mat)
@@ -302,7 +304,7 @@ def cmd_classify(family_path, config: RunConfig) -> int:
     if config.thresholds:
         thresholds = FamilyConfig.from_dict(load_json(config.thresholds))
     try:
-        verdict = classify_family(family, thresholds, threads=config.threads)
+        verdict = classify_family(family, thresholds)
     except QfspError as exc:
         _emit({"error": str(exc)}, config)
         return EXIT_INVALID
@@ -322,12 +324,11 @@ def cmd_classify(family_path, config: RunConfig) -> int:
     if config.out:
         csv_path = (config.out[:-5] if config.out.endswith(".json")
                     else config.out) + ".csv"
-        rows = zip(ev["k"], ev["t"], np.cumsum(ev["t"]).tolist(), ev["alpha"],
-                   ev["beta"])
+        rows = zip(*(col.tolist() for col in (ev["k"], ev["t"], np.cumsum(ev["t"]),
+                                               ev["alpha"], ev["beta"])))
         with open(csv_path, "w", encoding="utf-8") as fh:
             fh.write("k,t_k,partial_sum,alpha_k,beta_k\n")
-            fh.writelines(f"{k},{float(t)!r},{p!r},{float(a)!r},{float(b)!r}\n"
-                          for k, t, p, a, b in rows)
+            fh.writelines(f"{k},{t!r},{p!r},{a!r},{b!r}\n" for k, t, p, a, b in rows)
     return verdict.exit_code()
 
 

@@ -21,6 +21,7 @@ from math import factorial
 import numpy as np
 
 from .errors import InvalidArgumentError, NotAProjectionError
+from .linalg import expm_apply
 from .quasifree import QuasifreeForm
 
 __all__ = [
@@ -36,6 +37,9 @@ __all__ = [
     "second_quantize_unitary",
     "occupation_conjugation",
 ]
+
+# relative distance from Gamma f to f that weyl accepts as Gamma-fixed
+GAMMA_FIXED_TOL = 1e-8
 
 
 class FockOperator:
@@ -189,8 +193,7 @@ def _occupation_tuples(modes: int, cutoff: int):
     return out
 
 
-def build_fock(form: QuasifreeForm, cutoff: int,
-               projection_tol: float = 1e-10) -> TruncatedFock:
+def build_fock(form: QuasifreeForm, cutoff: int) -> TruncatedFock:
     """Occupation model over the range of a basis-projection form.
 
     Mixed forms are rejected; purify with :func:`qfsp.quasifree.double`
@@ -199,13 +202,13 @@ def build_fock(form: QuasifreeForm, cutoff: int,
     """
     if cutoff < 1:
         raise InvalidArgumentError("cutoff must be at least 1")
-    if not form.is_basis_projection(projection_tol):
+    if not form.is_basis_projection():
         raise NotAProjectionError(
             "form is Mixed; build the Fock space on its doubling instead"
         )
     calc = form.calculus
     rank = int(round(float(np.sum(form.s_eig[0] > 0.5))))
-    basis = calc.orthonormalize(form.s_op, tol=1e-10)
+    basis = calc.orthonormalize(form.s_op)
     if basis.shape[1] != rank:
         raise InvalidArgumentError(
             f"mode basis rank {basis.shape[1]} does not match projection rank {rank}"
@@ -227,16 +230,15 @@ def field_operator(fk: TruncatedFock, f: np.ndarray) -> FockOperator:
     ])))
 
 
-def weyl(fk: TruncatedFock, f: np.ndarray, tol: float = 1e-8) -> FockOperator:
-    """exp(i B(f)) for a Gamma-fixed f, via the hermitian eigendecomposition."""
+def weyl(fk: TruncatedFock, f: np.ndarray) -> FockOperator:
+    """exp(i B(f)) for a Gamma-fixed f, by expm_apply on the CSR B(f)."""
     f = np.asarray(f, dtype=complex)
-    if np.linalg.norm(fk.form.space.conjugate(f) - f) > tol * max(
+    if np.linalg.norm(fk.form.space.conjugate(f) - f) > GAMMA_FIXED_TOL * max(
         1.0, np.linalg.norm(f)
     ):
         raise InvalidArgumentError("Weyl argument must be Gamma-fixed")
-    b = field_operator(fk, f).matrix
-    vals, vecs = np.linalg.eigh(0.5 * (b + b.conj().T))
-    return FockOperator((vecs * np.exp(1j * vals)) @ vecs.conj().T)
+    return FockOperator(expm_apply(1j * field_operator(fk, f)._op,
+                                   np.eye(fk.dim, dtype=complex)))
 
 
 def exponential_vector(fk: TruncatedFock, u: np.ndarray,

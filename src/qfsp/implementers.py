@@ -46,6 +46,9 @@ __all__ = [
 ]
 
 THETA_CLAMP_TOL = 1e-12
+POLAR_CORNER_TOL = 1e-9
+COCYCLE_FLOOR = 1e-10
+COCYCLE_FIT_MAX = 1e-4
 
 
 @dataclass(frozen=True)
@@ -79,12 +82,12 @@ def validate_symplectic(ps: PhaseSpace, u, tol: float = 1e-9) -> ValidationRepor
     return ValidationReport(residuals=res, valid=all(v <= tol for v in res.values()))
 
 
-def _angle_data(form: QuasifreeForm, other: QuasifreeForm, tol: float):
+def _angle_data(form: QuasifreeForm, other: QuasifreeForm):
     """Eigen-data of A = -(S - S')^2 in the G_S metric.
 
     A is G_S-self-adjoint whenever both operators are idempotent; the
-    spectrum must be >= -tol, tiny negatives are clamped, anything worse is
-    a geometry error.
+    spectrum must be >= -THETA_CLAMP_TOL, tiny negatives are clamped,
+    anything worse is a geometry error.
     """
     a = -(form.s_op - other.s_op) @ (form.s_op - other.s_op)
     calc = form.calculus
@@ -96,7 +99,7 @@ def _angle_data(form: QuasifreeForm, other: QuasifreeForm, tol: float):
             "inputs are not a valid projection pair"
         ) from exc
     scale = max(1.0, float(np.abs(vals).max()))
-    if vals.min() < -tol * scale:
+    if vals.min() < -THETA_CLAMP_TOL * scale:
         raise GeometryError(
             f"-(S - S')^2 has negative spectrum {vals.min():.3e}; "
             "inputs are not a valid projection pair"
@@ -104,15 +107,13 @@ def _angle_data(form: QuasifreeForm, other: QuasifreeForm, tol: float):
     return np.clip(vals, 0.0, None), vecs
 
 
-def theta(form: QuasifreeForm, other: QuasifreeForm,
-          tol: float = THETA_CLAMP_TOL) -> np.ndarray:
+def theta(form: QuasifreeForm, other: QuasifreeForm) -> np.ndarray:
     """Non-negative angle operator with sinh^2(theta) = -(S - S')^2."""
-    vals, vecs = _angle_data(form, other, tol)
+    vals, vecs = _angle_data(form, other)
     return form.calculus.fn_of_eig(vals, vecs, np.arcsinh(np.sqrt(vals)))
 
 
-def bogoliubov_u(form: QuasifreeForm, other: QuasifreeForm,
-                 tol: float = THETA_CLAMP_TOL):
+def bogoliubov_u(form: QuasifreeForm, other: QuasifreeForm):
     """Canonical symplectic map with U^dag S U = S', plus its generator.
 
     u12 = (sinh th cosh th)^+ S S' (1 - S), u21 = -(sinh th cosh th)^+
@@ -120,17 +121,17 @@ def bogoliubov_u(form: QuasifreeForm, other: QuasifreeForm,
     complement of ker(theta), where the numerators vanish as well (checked).
     Returns (SymplecticMap, Hamiltonian).
     """
-    vals, vecs = _angle_data(form, other, tol)
+    vals, vecs = _angle_data(form, other)
     calc = form.calculus
     th_vals = np.arcsinh(np.sqrt(vals))
     sc = np.sinh(th_vals) * np.cosh(th_vals)
-    inv = np.where(sc > np.sqrt(tol), 1.0 / np.where(sc > 0, sc, 1.0), 0.0)
+    cut = np.sqrt(THETA_CLAMP_TOL)
+    inv = np.where(sc > cut, 1.0 / np.where(sc > 0, sc, 1.0), 0.0)
     pinv_sc = calc.fn_of_eig(vals, vecs, inv)
     s, sp = form.s_op, other.s_op
     eye = np.eye(form.space.dim)
     num12 = s @ sp @ (eye - s)
     num21 = -(eye - s) @ sp @ s
-    cut = np.sqrt(tol)
     kernel_proj = calc.fn_of_eig(vals, vecs, (sc <= cut).astype(float))
     for num in (num12, num21):
         leak = np.linalg.norm(kernel_proj @ num, 2)
@@ -147,19 +148,18 @@ def bogoliubov_u(form: QuasifreeForm, other: QuasifreeForm,
 
 
 def implement_T_apply(fk: TruncatedFock, form: QuasifreeForm,
-                      other: QuasifreeForm, x: np.ndarray,
-                      tol: float = THETA_CLAMP_TOL) -> np.ndarray:
+                      other: QuasifreeForm, x: np.ndarray) -> np.ndarray:
     """T x for the implementer T = exp(-i q(H(S/S'))) of the move from S to S'.
 
     The exponential acts on the columns of x through the CSR q(H) (see
     :func:`qfsp.linalg.expm_apply`); T itself is never formed.
     """
-    _, h = bogoliubov_u(form, other, tol)
+    _, h = bogoliubov_u(form, other)
     return expm_apply(-1j * _quantize_csr(fk, h), x)
 
 
-def implement_T(fk: TruncatedFock, form: QuasifreeForm, other: QuasifreeForm,
-                tol: float = THETA_CLAMP_TOL) -> FockOperator:
+def implement_T(fk: TruncatedFock, form: QuasifreeForm,
+                other: QuasifreeForm) -> FockOperator:
     """Fock implementer of the move from S to S'.
 
     T = exp(-i q(H(S/S'))), which satisfies T^* B(f) T = B(U(S/S') f) on low
@@ -168,13 +168,12 @@ def implement_T(fk: TruncatedFock, form: QuasifreeForm, other: QuasifreeForm,
     implementer conjugate Weyl operators by U itself.
     """
     return FockOperator(implement_T_apply(fk, form, other,
-                                          np.eye(fk.dim, dtype=complex), tol))
+                                          np.eye(fk.dim, dtype=complex)))
 
 
-def vacuum_overlap(form: QuasifreeForm, other: QuasifreeForm,
-                   tol: float = THETA_CLAMP_TOL) -> float:
+def vacuum_overlap(form: QuasifreeForm, other: QuasifreeForm) -> float:
     """det over range(S) of cosh(theta)^(-1/2); a value in (0, 1]."""
-    vals, vecs = _angle_data(form, other, tol)
+    vals, vecs = _angle_data(form, other)
     th_vals = np.arcsinh(np.sqrt(vals))
     # restrict to the range of S_op: theta commutes with S_op, so project the
     # hermitian-side eigenvectors of S_op and diagonalize theta there
@@ -186,8 +185,7 @@ def vacuum_overlap(form: QuasifreeForm, other: QuasifreeForm,
     return float(np.prod(1.0 / np.sqrt(np.cosh(mu))))
 
 
-def polar(ps: PhaseSpace, u: SymplecticMap, projection: QuasifreeForm,
-          tol: float = 1e-10) -> PolarParts:
+def polar(ps: PhaseSpace, u: SymplecticMap, projection: QuasifreeForm) -> PolarParts:
     """Polar decomposition U = positive * rotation relative to a projection.
 
     positive is the inverse of the canonical move W from P to P' = U P U^dag
@@ -203,10 +201,10 @@ def polar(ps: PhaseSpace, u: SymplecticMap, projection: QuasifreeForm,
     udag = gamma_adjoint(ps, m)
     eye = np.eye(ps.dim)
     corner = p @ m @ (eye - p) @ udag @ p
-    vals, vecs = _angle_data(projection, other, THETA_CLAMP_TOL)
+    vals, vecs = _angle_data(projection, other)
     sinh2 = projection.calculus.fn_of_eig(vals, vecs, vals)
     ident_res = np.linalg.norm(corner + sinh2 @ p, 2)
-    if ident_res > max(tol, 1e-9) * max(1.0, np.linalg.norm(m, 2) ** 2):
+    if ident_res > POLAR_CORNER_TOL * max(1.0, np.linalg.norm(m, 2) ** 2):
         raise InternalConsistencyError(
             f"corner identity residual {ident_res:.3e} out of tolerance"
         )
@@ -253,10 +251,9 @@ def metaplectic_apply(fk: TruncatedFock, u: SymplecticMap, x: np.ndarray,
                                            gamma_r @ np.asarray(x, dtype=complex))
 
 
-def metaplectic(fk: TruncatedFock, u: SymplecticMap,
-                sign: int = 1) -> FockOperator:
+def metaplectic(fk: TruncatedFock, u: SymplecticMap) -> FockOperator:
     """Dense matrix of the canonical implementer; see :func:`metaplectic_apply`."""
-    return FockOperator(metaplectic_apply(fk, u, np.eye(fk.dim, dtype=complex), sign))
+    return FockOperator(metaplectic_apply(fk, u, np.eye(fk.dim, dtype=complex)))
 
 
 @dataclass(frozen=True)
@@ -269,14 +266,14 @@ class CocycleEstimate:
 
 
 def cocycle_sign(fk: TruncatedFock, u1: SymplecticMap, u2: SymplecticMap,
-                 sector: int | None = None, floor: float = 1e-10,
-                 tol: float = 1e-6) -> CocycleEstimate:
+                 sector: int | None = None) -> CocycleEstimate:
     """Scalar lambda with Q(U1) Q(U2) = lambda Q(U1 U2), from low sectors.
 
     The estimate is the least-squares ratio of the two matrices compressed
     to a low particle block (default: total occupation <= 8), each applied
-    to the block's columns and never formed; it must have modulus one.  Keep the cutoff well above the block so squeezing tails do
-    not reach it.  Raises when the reference block cannot certify a ratio.
+    to the block's columns and never formed; it must have modulus one.
+    Keep the cutoff well above the block so squeezing tails do not reach
+    it.  Raises when the reference block cannot certify a ratio.
     """
     if sector is None:
         sector = min(8, fk.cutoff - 6)
@@ -285,7 +282,7 @@ def cocycle_sign(fk: TruncatedFock, u1: SymplecticMap, u2: SymplecticMap,
     a = metaplectic_apply(fk, u1, metaplectic_apply(fk, u2, cols))[mask].ravel()
     b = metaplectic_apply(fk, SymplecticMap(u1.u @ u2.u), cols)[mask].ravel()
     denom = np.vdot(b, b).real
-    if denom < floor:
+    if denom < COCYCLE_FLOOR:
         raise InconclusiveError("low-sector block is numerically empty")
     lam = complex(np.vdot(b, a) / denom)
     fit = float(np.linalg.norm(a - lam * b) / np.sqrt(denom))
@@ -296,7 +293,7 @@ def cocycle_sign(fk: TruncatedFock, u1: SymplecticMap, u2: SymplecticMap,
         imag_defect=abs(lam.imag),
         fit_residual=fit,
     )
-    if fit > 100 * tol:
+    if fit > COCYCLE_FIT_MAX:
         raise InconclusiveError(
             f"cocycle ratio fit residual {fit:.3e}; increase the cutoff"
         )

@@ -32,6 +32,8 @@ __all__ = [
 PIVOT_RATIO_MIN = 1e-14
 # relative residual allowed when hermitizing a metric-self-adjoint matrix
 HERMITIZE_TOL = 1e-8
+# Gram-Schmidt drops residuals at most this fraction of the largest column
+ORTHONORMAL_DROP_TOL = 1e-10
 # theta_m of Al-Mohy & Higham (2011), table 3.1, double precision: s steps of
 # a degree-m Taylor polynomial reach unit roundoff once ||A||_1 <= s theta_m
 _TAYLOR_THETA = {10: 0.144, 15: 0.641, 20: 1.44, 25: 2.43, 30: 3.54,
@@ -140,9 +142,9 @@ class MetricCalculus:
             return vals[order], np.eye(self.dim)[:, order].astype(complex)
         return np.linalg.eigh(tilde)
 
-    def fn(self, a: np.ndarray, f, check: bool = True) -> np.ndarray:
+    def fn(self, a: np.ndarray, f) -> np.ndarray:
         """Operator function ``f(a)`` through the metric eigendecomposition."""
-        vals, vecs = self.eigh(a, check=check)
+        vals, vecs = self.eigh(a)
         return self.from_hermitian((vecs * f(vals)) @ vecs.conj().T)
 
     def fn_of_eig(self, vals: np.ndarray, vecs: np.ndarray, fvals) -> np.ndarray:
@@ -153,11 +155,12 @@ class MetricCalculus:
         sel = vecs[:, mask]
         return self.from_hermitian(sel @ sel.conj().T)
 
-    def orthonormalize(self, columns: np.ndarray, tol: float = 1e-10):
+    def orthonormalize(self, columns: np.ndarray):
         """Metric Gram-Schmidt over the columns, keeping pivot order.
 
         Returns the selected orthonormal columns.  Columns whose residual
-        norm falls below ``tol`` times the largest initial norm are dropped.
+        norm falls below ``ORTHONORMAL_DROP_TOL`` times the largest initial
+        norm are dropped.
         """
         cols = np.asarray(columns, dtype=complex)
         if cols.ndim != 2 or cols.shape[1] == 0:
@@ -173,7 +176,7 @@ class MetricCalculus:
                 for u in kept:
                     w = w - self._ip(u, w) * u
             nrm = np.sqrt(max(self._ip(w, w).real, 0.0))
-            if nrm > tol * scale:
+            if nrm > ORTHONORMAL_DROP_TOL * scale:
                 kept.append(w / nrm)
         if not kept:
             return np.zeros((self.dim, 0), dtype=complex)

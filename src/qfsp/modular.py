@@ -31,11 +31,15 @@ __all__ = [
     "kms_residual",
 ]
 
+BOUNDARY_EPS = 1e-6
+OMEGA_COMMUTE_TOL = 1e-9
+OMEGA_ANTIUNITARY_TOL = 1e-8
 
-def one_particle_modular(form: QuasifreeForm, eps: float = 1e-6) -> np.ndarray:
+
+def one_particle_modular(form: QuasifreeForm) -> np.ndarray:
     """log(S_op (1 - S_op)^-1); needs the spectrum strictly inside (0, 1)."""
     vals, vecs = form.s_eig
-    if vals.min() < eps or vals.max() > 1.0 - eps:
+    if vals.min() < BOUNDARY_EPS or vals.max() > 1.0 - BOUNDARY_EPS:
         raise BoundaryError(
             f"spectrum touches the boundary of (0,1): [{vals.min():.3e}, "
             f"{vals.max():.6f}]"
@@ -68,8 +72,7 @@ def modular_generator(fk: TruncatedFock, h: np.ndarray) -> FockOperator:
     return FockOperator(fk._quadratic(h, 0, 0))
 
 
-def modular_conjugation(dd: DoubledSpace, fk: TruncatedFock,
-                        tol: float = 1e-10) -> FockOperator:
+def modular_conjugation(dd: DoubledSpace, fk: TruncatedFock) -> FockOperator:
     """Antilinear conjugation: copy swap composed with Gamma, quantized.
 
     The one-particle map omega(f + g) = Gamma g + Gamma f commutes with the
@@ -85,14 +88,14 @@ def modular_conjugation(dd: DoubledSpace, fk: TruncatedFock,
     # omega as an antilinear map is h -> omega_linear conj(h)
     p = fk.form.s_op
     commute = omega_linear @ np.conj(p) - p @ omega_linear
-    if np.linalg.norm(commute, 2) > max(tol, 1e-9):
+    if np.linalg.norm(commute, 2) > OMEGA_COMMUTE_TOL:
         raise InternalConsistencyError(
             "omega does not commute with the doubled projection"
         )
     j_mode = fk.mode_coords(omega_linear @ np.conj(fk.mode_basis))
     unit_res = np.linalg.norm(j_mode.conj().T @ j_mode - np.eye(fk.modes), 2)
     invol_res = np.linalg.norm(j_mode @ np.conj(j_mode) - np.eye(fk.modes), 2)
-    if max(unit_res, invol_res) > max(tol, 1e-8):
+    if max(unit_res, invol_res) > OMEGA_ANTIUNITARY_TOL:
         raise InternalConsistencyError(
             f"restricted conjugation is not antiunitary "
             f"(unitary {unit_res:.3e}, involution {invol_res:.3e})"
@@ -131,9 +134,8 @@ class ModularData:
         return self.delta_power(1j * t)
 
 
-def build_modular(dd: DoubledSpace, fk: TruncatedFock,
-                  eps: float = 1e-6) -> ModularData:
-    h_s = one_particle_modular(dd.base, eps)
+def build_modular(dd: DoubledSpace, fk: TruncatedFock) -> ModularData:
+    h_s = one_particle_modular(dd.base)
     h = _mode_hamiltonian(fk, h_s)
     return ModularData(
         one_particle=h_s,

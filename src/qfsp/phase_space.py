@@ -26,6 +26,9 @@ __all__ = [
     "symplectic_extension",
 ]
 
+# symplectic_extension's pivot threshold, relative to the largest sigma
+PIVOT_TOL_FACTOR = 1e-10
+
 
 class Presentation(Enum):
     DIAGONAL = "diagonal"
@@ -172,9 +175,7 @@ def gamma_adjoint(ps: PhaseSpace, a: np.ndarray) -> np.ndarray:
     return adjoint(a, ps.G)
 
 
-def symplectic_extension(
-    ps: PhaseSpace, vectors, tol_factor: float = 1e-10
-) -> list[np.ndarray]:
+def symplectic_extension(ps: PhaseSpace, vectors) -> list[np.ndarray]:
     """Gamma-fixed canonical basis of a gamma-non-degenerate envelope.
 
     Closes the input span under Gamma, rewrites it in Gamma-fixed real
@@ -196,7 +197,7 @@ def symplectic_extension(
     sigma_scale = max(
         (abs(ps.sigma(a, b)) for a in full for b in full), default=1.0
     )
-    pivot_tol = tol_factor * max(sigma_scale, 1.0)
+    pivot_tol = PIVOT_TOL_FACTOR * max(sigma_scale, 1.0)
 
     def project_out_pairs(w, pairs):
         # remove the symplectic components along already fixed pairs (p, q),

@@ -42,6 +42,8 @@ __all__ = [
 ]
 
 HALF_EIGENVALUE_TOL = 1e-9
+# an S_op eigenvalue this close to 0 or 1 counts as 0 or 1
+PROJECTION_TOL = 1e-10
 
 
 class QuasifreeForm:
@@ -111,7 +113,7 @@ class QuasifreeForm:
     def norm(self, f: np.ndarray) -> float:
         return float(np.sqrt(max(self.ip(f, f).real, 0.0)))
 
-    def is_basis_projection(self, tol: float = 1e-10) -> bool:
+    def is_basis_projection(self, tol: float = PROJECTION_TOL) -> bool:
         vals, _ = self.s_eig
         return bool(np.all(np.minimum(vals, 1.0 - vals) <= tol))
 
@@ -161,20 +163,21 @@ def validate_form(form: QuasifreeForm, tol: float = 1e-10) -> ValidationReport:
     return ValidationReport(residuals=res, valid=valid, classification=classification)
 
 
-def spectral_split(form: QuasifreeForm, tol: float = 1e-10):
+def spectral_split(form: QuasifreeForm):
     """G_S-orthogonal spectral projectors of S_op for {0}, {1} and (0, 1)."""
     vals, vecs = form.s_eig
     calc = form.calculus
+    tol = PROJECTION_TOL
     e0 = calc.projector(vals, vecs, vals <= tol)
     e1 = calc.projector(vals, vecs, vals >= 1.0 - tol)
     emid = calc.projector(vals, vecs, (vals > tol) & (vals < 1.0 - tol))
     return e0, e1, emid
 
 
-def require_half_free(form: QuasifreeForm, tol: float):
-    """Raise SpectralSingularityError if S_op has an eigenvalue within tol of 1/2."""
+def require_half_free(form: QuasifreeForm):
+    """Raise SpectralSingularityError for an S_op eigenvalue near 1/2."""
     vals, _ = form.s_eig
-    bad = np.abs(vals - 0.5) < tol
+    bad = np.abs(vals - 0.5) < HALF_EIGENVALUE_TOL
     if bad.any():
         raise SpectralSingularityError(
             "S_op has an eigenvalue too close to 1/2",
@@ -202,16 +205,16 @@ def chi_values(form: QuasifreeForm) -> np.ndarray:
     return out
 
 
-def chi(form: QuasifreeForm, half_tol: float = HALF_EIGENVALUE_TOL) -> np.ndarray:
+def chi(form: QuasifreeForm) -> np.ndarray:
     """arctanh(2 sqrt(S(1-S))) as an operator; finite away from spectrum 1/2."""
-    require_half_free(form, half_tol)
+    require_half_free(form)
     vals, vecs = form.s_eig
     return form.calculus.fn_of_eig(vals, vecs, chi_values(form))
 
 
-def rho(form: QuasifreeForm, half_tol: float = HALF_EIGENVALUE_TOL) -> np.ndarray:
+def rho(form: QuasifreeForm) -> np.ndarray:
     """Sign of 2S - 1 as an operator; an involution commuting with S_op."""
-    require_half_free(form, half_tol)
+    require_half_free(form)
     vals, vecs = form.s_eig
     return form.calculus.fn_of_eig(vals, vecs, np.sign(2.0 * vals - 1.0))
 

@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .fock import FockOperator, TruncatedFock
-from .linalg import expm_apply
 from .phase_space import (
     PhaseSpace,
     ValidationReport,
@@ -29,12 +28,16 @@ __all__ = [
     "basis_hamiltonian",
     "rank_decompose",
     "quantize",
-    "implementer",
     "lie_residual",
     "cyclic_span",
     "random_hamiltonian",
     "hamiltonian_projection",
 ]
+
+# rank_decompose drops H, or a column of H, at or below this norm (relative)
+RANK_TOL = 1e-10
+# cyclic_span counts singular values above this fraction of the largest
+SPAN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -113,7 +116,7 @@ def basis_hamiltonian(ps: PhaseSpace, modes, kind: int, k: int, l: int) -> Hamil
     return Hamiltonian(_pair_generator(ps, g, h))
 
 
-def rank_decompose(ps: PhaseSpace, h: Hamiltonian, tol: float = 1e-10) -> list:
+def rank_decompose(ps: PhaseSpace, h: Hamiltonian) -> list:
     """Pairs (f_j, g_j) with H f = sum_j gamma(g_j, f) f_j, through a
     canonical basis of the envelope of range(H).
 
@@ -122,10 +125,10 @@ def rank_decompose(ps: PhaseSpace, h: Hamiltonian, tol: float = 1e-10) -> list:
     """
     m = h.op
     norm = np.linalg.norm(m, 2)
-    if norm <= tol:
+    if norm <= RANK_TOL:
         return []
     cols = [m[:, j] for j in range(ps.dim)
-            if np.linalg.norm(m[:, j]) > tol * norm]
+            if np.linalg.norm(m[:, j]) > RANK_TOL * norm]
     basis = symplectic_extension(ps, cols)
     pairs = []
     for j in range(len(basis) // 2):
@@ -160,12 +163,6 @@ def quantize(fk: TruncatedFock, h: Hamiltonian) -> FockOperator:
     return FockOperator(_quantize_csr(fk, h))
 
 
-def implementer(fk: TruncatedFock, h: Hamiltonian) -> FockOperator:
-    """Q(H) = exp(i q(H)); conjugation sends B(f) to B(e^{iH} f) on low sectors."""
-    return FockOperator(expm_apply(1j * _quantize_csr(fk, h),
-                                   np.eye(fk.dim, dtype=complex)))
-
-
 def lie_residual(fk: TruncatedFock, h1: Hamiltonian, h2: Hamiltonian) -> float:
     """Norm of i[q(H), q(H')] - q(i[H, H']) on the sector cutoff - 4."""
     q1 = quantize(fk, h1).matrix
@@ -176,8 +173,7 @@ def lie_residual(fk: TruncatedFock, h1: Hamiltonian, h2: Hamiltonian) -> float:
     return fk.restricted_norm(m, fk.cutoff - 4)
 
 
-def cyclic_span(fk: TruncatedFock, generators, v: np.ndarray, degree: int,
-                tol: float = 1e-9) -> int:
+def cyclic_span(fk: TruncatedFock, generators, v: np.ndarray, degree: int) -> int:
     """Dimension of span{ monomials of length <= degree in the generators
     applied to v }."""
     mats = [g.matrix if isinstance(g, FockOperator) else np.asarray(g, complex)
@@ -197,4 +193,4 @@ def cyclic_span(fk: TruncatedFock, generators, v: np.ndarray, degree: int,
     svals = np.linalg.svd(stack, compute_uv=False)
     if svals.size == 0 or svals[0] == 0:
         return 0
-    return int((svals > tol * svals[0]).sum())
+    return int((svals > SPAN_TOL * svals[0]).sum())

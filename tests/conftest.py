@@ -47,3 +47,14 @@ def random_kappa_real(ps, rng, scale=0.3) -> np.ndarray:
     h = hamiltonian_projection(ps, raw)
     h_imag = 0.5 * (h.op - np.conj(h.op))
     return sla.expm(1j * h_imag).real.astype(complex)
+
+
+def implementer(fk, h):
+    """Q(H) = exp(i q(H)) as a dense FockOperator; conjugation by it sends
+    B(f) to B(e^{iH} f) on low sectors."""
+    from qfsp.fock import FockOperator
+    from qfsp.linalg import expm_apply
+    from qfsp.sp_algebra import _quantize_csr
+
+    return FockOperator(expm_apply(1j * _quantize_csr(fk, h),
+                                   np.eye(fk.dim, dtype=complex)))

@@ -23,7 +23,6 @@ from qfsp import (
     gamma_adjoint,
     hs_discriminant,
     implement_T,
-    implementer,
     lie_residual,
     metaplectic,
     moment,
@@ -46,7 +45,7 @@ from qfsp.linalg import hs_norm
 from qfsp.quasifree import fock_form, thermal_form
 from qfsp.sp_algebra import basis_hamiltonian, cyclic_span, quantize, random_hamiltonian
 from qfsp.serialize import dump_json, encode_form
-from conftest import squeeze, real_vec, random_kappa_real
+from conftest import implementer, squeeze, real_vec, random_kappa_real
 
 DIAG1 = build_standard(1, Presentation.DIAGONAL)
 DIAG2 = build_standard(2, Presentation.DIAGONAL)

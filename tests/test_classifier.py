@@ -235,18 +235,6 @@ def test_family_norm_bound_branch(diag1):
     assert verdict2.evidence["beta_sup"] >= 1e3
 
 
-def test_family_threads_deterministic():
-    fam = family_from_json({
-        "generator": {"kind": "thermal_pair", "tau": "1/k", "tau_prime": "0"},
-        "n_max": 500,
-    })
-    v1 = classify_family(fam, threads=1)
-    v4 = classify_family(fam, threads=4)
-    assert v1.outcome == v4.outcome
-    assert v1.evidence["total"] == v4.evidence["total"]
-    assert v1.evidence["t"] == v4.evidence["t"]
-
-
 def test_family_block_error_carries_index(diag1):
     def bad_block(k):
         if k == 3:
@@ -349,8 +337,6 @@ def test_family_first_failing_block_wins(diag1):
     with pytest.raises(InvalidArgumentError, match="block 4 failed: cannot build"):
         classify_family(ModeFamily(
             block=lambda k: block(k) if k != 2 else block(1), n_max=6))
-    with pytest.raises(InvalidArgumentError, match="threads"):
-        classify_family(ModeFamily(block=block, n_max=1), threads=0)
 
 
 _LEAVES = st.one_of(

@@ -212,11 +212,15 @@ def test_threads_env_fallback(inputs, tmp_path, monkeypatch):
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
-def test_version_and_bad_config(inputs, capsys):
+def test_version_and_bad_config(inputs, capsys, monkeypatch):
     with pytest.raises(SystemExit):
         main(["--version"])
     assert main(["validate", inputs["thermal.json"], "--tol", "-1"]) == 2
     assert main(["validate", inputs["thermal.json"], "--cutoff", "2"]) == 2
+    assert main(["validate", inputs["thermal.json"], "--threads", "0"]) == 2
+    monkeypatch.setenv("QFSP_THREADS", "0")
+    assert main(["validate", inputs["thermal.json"]]) == 2
+    assert capsys.readouterr().err.count("threads must be at least 1") == 2
 
 
 def test_classify_csv_matches_pair_oracle(tmp_path):

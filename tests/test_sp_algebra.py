@@ -11,7 +11,6 @@ from qfsp import (
     basis_hamiltonian,
     cyclic_span,
     double,
-    implementer,
     lie_residual,
     quantize,
     rank_decompose,
@@ -20,7 +19,7 @@ from qfsp import (
 from qfsp.fock import build_fock, field_operator, number_operator, parity_split, weyl
 from qfsp.quasifree import fock_form, thermal_form
 from qfsp.sp_algebra import random_hamiltonian
-from conftest import real_vec
+from conftest import implementer, real_vec
 
 
 def test_validate_hamiltonian_examples(diag1):
