@@ -75,11 +75,13 @@ def discriminant(form: QuasifreeForm, other: QuasifreeForm) -> np.ndarray:
         require_half_free(f)
     eye = np.eye(form.space.dim)
     vals, vecs = form.s_eig
+    chi_s = chi_values(vals[None])[0]
     left = form.calculus.fn_of_eig(
-        vals, vecs, np.sign(2.0 * vals - 1.0) * np.exp(-chi_values(form)))
+        vals, vecs, np.sign(2.0 * vals - 1.0) * np.exp(-chi_s))
     vals_o, vecs_o = other.s_eig
+    chi_o = chi_values(vals_o[None])[0]
     right = other.calculus.fn_of_eig(
-        vals_o, vecs_o, np.exp(chi_values(other)) * np.sign(2.0 * vals_o - 1.0))
+        vals_o, vecs_o, np.exp(chi_o) * np.sign(2.0 * vals_o - 1.0))
     return eye - left @ right
 
 
@@ -312,22 +314,6 @@ def _flag(fail: np.ndarray, bad: np.ndarray, code: int) -> None:
     fail[(fail == 0) & bad] = code
 
 
-def _stacked_chi(vals: np.ndarray) -> np.ndarray:
-    """quasifree.chi_values for each row of a stack of spectra."""
-    d = vals.shape[-1]
-    order = np.argsort(vals, axis=-1, kind="stable")
-    rank = np.arange(d)
-    small = np.take_along_axis(vals, order[:, np.minimum(rank, d - 1 - rank)], axis=-1)
-    small = np.where(0.0 > small, 0.0, small)
-    small = np.where(0.5 < small, 0.5, small)
-    a = np.sqrt(small)
-    b = np.sqrt(1.0 - small)
-    out = np.empty_like(vals)
-    np.put_along_axis(out, order, np.where(b > a, np.log(b + a) - np.log(b - a), np.inf),
-                      axis=-1)
-    return out
-
-
 def _diag_form(sd, fail):
     """Gram diagonal, its square root and the clamped S_op spectrum of forms
     with diagonal Sigma (rows of ``sd``), with the checks of MetricCalculus
@@ -363,8 +349,8 @@ def _diag_evidence(sd, sd_o):
     with np.errstate(all="ignore"):
         gram, root, vals = _diag_form(sd, fail)
         gram_o, root_o, vals_o = _diag_form(sd_o, fail)
-        left = np.sign(2.0 * vals - 1.0) * np.exp(-_stacked_chi(vals))
-        right = np.exp(_stacked_chi(vals_o)) * np.sign(2.0 * vals_o - 1.0)
+        left = np.sign(2.0 * vals - 1.0) * np.exp(-chi_values(vals))
+        right = np.exp(chi_values(vals_o)) * np.sign(2.0 * vals_o - 1.0)
         left = (left.astype(complex) / root) * root
         right = (right.astype(complex) / root_o) * root_o
         m = 1.0 - left * right

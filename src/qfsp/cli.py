@@ -5,20 +5,22 @@ Structured output is JSON with complex numbers as [re, im]; per-mode series
 go to CSV.  Exit codes: 0 pass/equivalent, 1 math-invalid, 2 parse,
 3 inequivalent, 4 inconclusive, 5 insufficient cutoff.
 
+Each command accepts only the options it reads (see ``build_parser``); any
+other option is a usage error with exit code 2.  ``RunConfig`` holds every
+default and checks every value.
+
 Reports are byte-deterministic for a fixed (inputs, config, seed).
 `classify` evaluates all blocks of a thermal_pair family in one batched
 pass, and explicit families block by block, in the calling thread.
---threads (default QFSP_THREADS, else 1) is accepted for compatibility and
-must be at least 1; no command reads it, so reports are byte-identical for
-every value.
+`classify --threads` (default 1) is accepted for compatibility and must be
+at least 1; nothing reads it, so reports are byte-identical for every value.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -83,30 +85,15 @@ class RunConfig:
     bruteforce: bool = False
     n_max: int | None = None
     thresholds: str | None = None
+    threads: int = 1
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ParseError("tolerance must be positive")
         if self.cutoff < 4:
             raise ParseError("cutoff must be at least 4 for Fock-level commands")
-
-
-def _config_from_args(args) -> RunConfig:
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("QFSP_THREADS", "1"))
-    config = RunConfig(
-        cutoff=args.cutoff,
-        tol=args.tol,
-        seed=args.seed,
-        out=args.out,
-        bruteforce=args.bruteforce,
-        n_max=getattr(args, "n_max", None),
-        thresholds=getattr(args, "thresholds", None),
-    )
-    if threads < 1:  # validated, but no command reads it
-        raise ParseError("threads must be at least 1")
-    return config
+        if self.threads < 1:  # validated, but no command reads it
+            raise ParseError("threads must be at least 1")
 
 
 def _emit(report: dict, config: RunConfig) -> None:
@@ -167,7 +154,7 @@ def cmd_moments(path, config: RunConfig) -> int:
         "pairing_count": count,
     }
     if config.bruteforce:
-        oracle = _moment_bruteforce(form, vectors, config)
+        oracle = _moment_bruteforce(form, vectors)
         report["bruteforce"] = [oracle.real, oracle.imag]
         report["difference"] = abs(value - oracle)
     _emit(report, config)
@@ -176,7 +163,7 @@ def cmd_moments(path, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _moment_bruteforce(form: QuasifreeForm, vectors, config: RunConfig) -> complex:
+def _moment_bruteforce(form: QuasifreeForm, vectors) -> complex:
     """Vacuum expectation of the field product on the doubled Fock model."""
     dd = double(form)
     cutoff = max(len(vectors) + 2, 4)
@@ -387,49 +374,55 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--cutoff", type=int, default=16,
-                       help="total particle cutoff for Fock computations")
-        p.add_argument("--tol", type=float, default=1e-6)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=None,
-                       help="accepted for compatibility, must be >= 1 "
-                            "(default: QFSP_THREADS or 1); classify runs in "
-                            "the calling thread, so the value changes no "
-                            "report")
-        p.add_argument("--out", type=str, default=None,
-                       help="write the JSON report here instead of stdout")
-        p.add_argument("--bruteforce", action="store_true",
-                       help="enable slower oracle cross-checks")
+    # every option, keyed by flag; each command declares the ones it reads,
+    # and an option left out is absent from the namespace, so RunConfig's
+    # default applies
+    options = {
+        "--cutoff": {"type": int,
+                     "help": "total particle cutoff for Fock computations"},
+        "--tol": {"type": float},
+        "--seed": {"type": int},
+        "--out": {"help": "write the JSON report here instead of stdout"},
+        "--bruteforce": {"action": "store_true",
+                         "help": "enable slower oracle cross-checks"},
+        "--n-max": {"dest": "n_max", "type": int},
+        "--thresholds": {"help": "JSON file overriding verdict thresholds"},
+        "--threads": {"type": int,
+                      "help": "accepted for compatibility, must be >= 1 "
+                              "(default 1); classify runs in the calling "
+                              "thread, so the value changes no report"},
+    }
 
-    p = sub.add_parser("validate", help="validate phase space / form files")
+    def command(name, help_text, *flags):
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        for flag in flags:
+            p.add_argument(flag, **options[flag])
+        return p
+
+    p = command("validate", "validate phase space / form files", "--tol", "--out")
     p.add_argument("paths", nargs="+")
-    common(p)
 
-    p = sub.add_parser("moments", help="quasifree n-point function")
+    p = command("moments", "quasifree n-point function",
+                "--tol", "--out", "--bruteforce")
     p.add_argument("input", help="JSON with keys 'form' and 'vectors'")
-    common(p)
 
-    p = sub.add_parser("overlap", help="vacuum overlap determinant vs Fock")
+    p = command("overlap", "vacuum overlap determinant vs Fock",
+                "--cutoff", "--tol", "--out")
     p.add_argument("projection", help="basis-projection form JSON")
     p.add_argument("symplectic", help="symplectic matrix JSON")
-    common(p)
 
-    p = sub.add_parser("implement", help="polar parts, metaplectic checks")
+    p = command("implement", "polar parts, metaplectic checks",
+                "--cutoff", "--tol", "--seed", "--out", "--bruteforce")
     p.add_argument("symplectic", help="symplectic matrix JSON")
     p.add_argument("projection", help="basis-projection form JSON")
-    common(p)
 
-    p = sub.add_parser("classify", help="mode-family quasi-equivalence verdict")
+    p = command("classify", "mode-family quasi-equivalence verdict",
+                "--out", "--n-max", "--thresholds", "--threads")
     p.add_argument("family", help="family description JSON")
-    p.add_argument("--n-max", dest="n_max", type=int, default=None)
-    p.add_argument("--thresholds", type=str, default=None,
-                   help="JSON file overriding verdict thresholds")
-    common(p)
 
-    p = sub.add_parser("modular", help="modular residual suite")
+    p = command("modular", "modular residual suite",
+                "--cutoff", "--tol", "--seed", "--out")
     p.add_argument("form", help="quasifree form JSON")
-    common(p)
 
     return parser
 
@@ -438,7 +431,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args)
+        config = RunConfig(**{f.name: getattr(args, f.name)
+                              for f in fields(RunConfig) if hasattr(args, f.name)})
         if args.command == "validate":
             return cmd_validate(args.paths, config)
         if args.command == "moments":

@@ -67,6 +67,7 @@ class SymplecticMap:
 class PolarParts:
     positive: SymplecticMap  # the U(P/P')^dag factor, metric-positive
     rotation: SymplecticMap  # commutes with P, metric-unitary
+    generator: Hamiltonian  # H(P/P') of the canonical move U(P/P') = exp(iH)
 
 
 def validate_symplectic(ps: PhaseSpace, u, tol: float = 1e-9) -> ValidationReport:
@@ -189,12 +190,13 @@ def polar(ps: PhaseSpace, u: SymplecticMap, projection: QuasifreeForm) -> PolarP
     """Polar decomposition U = positive * rotation relative to a projection.
 
     positive is the inverse of the canonical move W from P to P' = U P U^dag
-    and rotation = W U commutes with P.  Also checks the corner identity
+    and rotation = W U commutes with P; generator is the Hamiltonian of W,
+    whose quantization gives the implementer T.  Also checks the corner identity
     P U (1-P) U^dag P = -sinh^2(theta) P.
     """
     m = u.u
     other = transport_form(projection, m)
-    w, _ = bogoliubov_u(projection, other)
+    w, h = bogoliubov_u(projection, other)
     positive = np.linalg.inv(w.u)
     rotation = w.u @ m
     p = projection.s_op
@@ -209,7 +211,7 @@ def polar(ps: PhaseSpace, u: SymplecticMap, projection: QuasifreeForm) -> PolarP
             f"corner identity residual {ident_res:.3e} out of tolerance"
         )
     return PolarParts(positive=SymplecticMap(positive),
-                      rotation=SymplecticMap(rotation))
+                      rotation=SymplecticMap(rotation), generator=h)
 
 
 def dP_distance(ps: PhaseSpace, a: SymplecticMap, b: SymplecticMap,
@@ -241,14 +243,15 @@ def metaplectic_apply(fk: TruncatedFock, u: SymplecticMap, x: np.ndarray,
 
     The phase is pinned by the positive vacuum overlap of the T factor and
     the exact symmetric-power action of the rotation; M conjugates Weyl
-    operators by U on low sectors.  Neither factor is formed densely.
+    operators by U on low sectors.  Neither factor is formed densely, and T
+    is exp(-i q(H)) with the generator H that :func:`polar` already built.
     """
     if sign not in (1, -1):
         raise InvalidArgumentError("sign must be +1 or -1")
     parts = polar(fk.form.space, u, fk.form)
     gamma_r = _sym_power_csr(fk, restricted_rotation(fk, parts.rotation))
-    return float(sign) * implement_T_apply(fk, fk.form, transport_form(fk.form, u.u),
-                                           gamma_r @ np.asarray(x, dtype=complex))
+    return float(sign) * expm_apply(-1j * _quantize_csr(fk, parts.generator),
+                                    gamma_r @ np.asarray(x, dtype=complex))
 
 
 def metaplectic(fk: TruncatedFock, u: SymplecticMap) -> FockOperator:

@@ -80,38 +80,19 @@ class PhaseSpace:
     def real_basis(self) -> np.ndarray:
         """Columns form a real-linear basis of Re K = {f : Gamma f = f}.
 
-        Built by Gamma-symmetrizing the standard basis; for the standard
+        Built by Gamma-symmetrizing the standard basis and keeping the
+        real-linearly independent candidates, normalized; for the standard
         presentations (C a real permutation) the columns are Gamma-fixed to
         machine exactness.
         """
-        d = self.dim
         cand = []
-        for j in range(d):
-            e = np.zeros(d, dtype=complex)
-            e[j] = 1.0
+        for e in np.eye(self.dim, dtype=complex):
             cand.append(e + self.conjugate(e))
             cand.append(1j * e + self.conjugate(1j * e))
-        picked = []
-        rows = []
-        for v in cand:
-            nv = np.linalg.norm(v)
-            if nv < 1e-12:
-                continue
-            v = v / nv
-            r = np.concatenate([v.real, v.imag])
-            if rows:
-                q = r - np.array(rows).T @ (np.array(rows) @ r)
-                q = q - np.array(rows).T @ (np.array(rows) @ q)
-            else:
-                q = r
-            if np.linalg.norm(q) > 1e-10:
-                picked.append(v)
-                rows.append(q / np.linalg.norm(q))
-            if len(picked) == d:
-                break
-        if len(picked) != d:
+        picked = _prune_real_dependents(cand)
+        if len(picked) != self.dim:
             raise DegenerateInputError("could not assemble a Gamma-fixed basis")
-        return np.stack(picked, axis=1)
+        return np.stack([v / np.linalg.norm(v) for v in picked], axis=1)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"PhaseSpace(dim={self.dim})"

@@ -185,23 +185,26 @@ def require_half_free(form: QuasifreeForm):
         )
 
 
-def chi_values(form: QuasifreeForm) -> np.ndarray:
-    """Per-eigenvalue chi, evaluated at the accurate member of each pair.
+def chi_values(vals: np.ndarray) -> np.ndarray:
+    """Per-eigenvalue chi for each row of a stack of S_op spectra, shape (n, d).
 
-    The spectrum of S_op is symmetric under s <-> 1 - s and chi is too; for
-    an eigenvalue close to 1 the difference 1 - s has lost precision, so chi
-    is taken from the paired small eigenvalue instead.
+    Each spectrum is symmetric under s <-> 1 - s and chi is too; for an
+    eigenvalue close to 1 the difference 1 - s has lost precision, so chi
+    is taken from the paired small eigenvalue instead; an eigenvalue of
+    exactly 1/2 gives inf.
     """
-    vals, _ = form.s_eig
-    order = np.argsort(vals)
-    d = len(vals)
-    out = np.empty(d)
-    for rank, idx in enumerate(order):
-        small = vals[order[min(rank, d - 1 - rank)]]
-        small = min(max(small, 0.0), 0.5)
-        a = np.sqrt(small)
-        b = np.sqrt(1.0 - small)
-        out[idx] = np.log(b + a) - np.log(b - a) if b > a else np.inf
+    d = vals.shape[-1]
+    order = np.argsort(vals, axis=-1, kind="stable")
+    rank = np.arange(d)
+    small = np.take_along_axis(vals, order[:, np.minimum(rank, d - 1 - rank)], axis=-1)
+    small = np.where(0.0 > small, 0.0, small)
+    small = np.where(0.5 < small, 0.5, small)
+    a = np.sqrt(small)
+    b = np.sqrt(1.0 - small)
+    with np.errstate(divide="ignore"):
+        chi_sorted = np.where(b > a, np.log(b + a) - np.log(b - a), np.inf)
+    out = np.empty_like(vals)
+    np.put_along_axis(out, order, chi_sorted, axis=-1)
     return out
 
 
@@ -209,7 +212,7 @@ def chi(form: QuasifreeForm) -> np.ndarray:
     """arctanh(2 sqrt(S(1-S))) as an operator; finite away from spectrum 1/2."""
     require_half_free(form)
     vals, vecs = form.s_eig
-    return form.calculus.fn_of_eig(vals, vecs, chi_values(form))
+    return form.calculus.fn_of_eig(vals, vecs, chi_values(vals[None])[0])
 
 
 def rho(form: QuasifreeForm) -> np.ndarray:

@@ -204,23 +204,41 @@ def test_reports_are_deterministic_across_threads(inputs, tmp_path):
 
 
 def test_threads_env_fallback(inputs, tmp_path, monkeypatch):
+    # no command reads an environment variable; a value that is not an
+    # integer once ended classify in a traceback
     a = str(tmp_path / "a.json")
     b = str(tmp_path / "b.json")
-    main(["classify", inputs["fam_conv.json"], "--threads", "1", "--out", a])
-    monkeypatch.setenv("QFSP_THREADS", "3")
-    main(["classify", inputs["fam_conv.json"], "--out", b])
+    assert main(["classify", inputs["fam_conv.json"], "--out", a]) == 0
+    monkeypatch.setenv("QFSP_THREADS", "abc")
+    assert main(["classify", inputs["fam_conv.json"], "--out", b]) == 0
     assert open(a, "rb").read() == open(b, "rb").read()
+    assert open(a[:-5] + ".csv", "rb").read() == open(b[:-5] + ".csv", "rb").read()
 
 
-def test_version_and_bad_config(inputs, capsys, monkeypatch):
+def test_version_and_bad_config(inputs, capsys):
     with pytest.raises(SystemExit):
         main(["--version"])
     assert main(["validate", inputs["thermal.json"], "--tol", "-1"]) == 2
-    assert main(["validate", inputs["thermal.json"], "--cutoff", "2"]) == 2
-    assert main(["validate", inputs["thermal.json"], "--threads", "0"]) == 2
-    monkeypatch.setenv("QFSP_THREADS", "0")
-    assert main(["validate", inputs["thermal.json"]]) == 2
-    assert capsys.readouterr().err.count("threads must be at least 1") == 2
+    assert main(["overlap", inputs["fock.json"], inputs["squeeze1.json"],
+                 "--cutoff", "2"]) == 2
+    assert main(["classify", inputs["fam_conv.json"], "--threads", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "cutoff must be at least 4 for Fock-level commands" in err
+    assert err.count("threads must be at least 1") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "thermal.json", "--seed", "1"],
+    ["overlap", "fock.json", "squeeze1.json", "--bruteforce"],
+    ["classify", "fam_conv.json", "--cutoff", "8"],
+    ["modular", "thermal.json", "--threads", "2"],
+], ids=lambda argv: argv[0])
+def test_unread_option_is_a_usage_error(inputs, capsys, argv):
+    argv = [inputs.get(a, a) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_classify_csv_matches_pair_oracle(tmp_path):

@@ -1,14 +1,17 @@
-"""The defaulted parameters of the library are pinned.
+"""The defaulted parameters of the library and the CLI options are pinned.
 
 Each one is an option that tests and benchmarks must cover.  Those kept
 here are set by some caller or carry data; a value that no caller sets is a
 named module constant instead (``THETA_CLAMP_TOL``, ``RANK_TOL``, ...).
+Each CLI command accepts only the options it reads.
 """
 
+import argparse
 import ast
 from pathlib import Path
 
 import qfsp
+from qfsp.cli import build_parser
 
 KEPT = {
     "classifier.classify_family(config)",
@@ -58,3 +61,22 @@ def test_defaulted_parameters_are_pinned():
     for path in sorted(Path(qfsp.__file__).parent.glob("*.py")):
         found += _defaulted(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     assert sorted(found) == sorted(KEPT)
+
+
+COMMAND_OPTIONS = {
+    "validate": {"--tol", "--out"},
+    "moments": {"--tol", "--out", "--bruteforce"},
+    "overlap": {"--cutoff", "--tol", "--out"},
+    "implement": {"--cutoff", "--tol", "--seed", "--out", "--bruteforce"},
+    "classify": {"--out", "--n-max", "--thresholds", "--threads"},
+    "modular": {"--cutoff", "--tol", "--seed", "--out"},
+}
+
+
+def test_command_options_are_pinned():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    found = {name: {flag for action in p._actions if action.dest != "help"
+                    for flag in action.option_strings}
+             for name, p in sub.choices.items()}
+    assert found == COMMAND_OPTIONS  # 21 settable values

@@ -379,6 +379,29 @@ def test_apply_matches_dense_expm(modes, cutoff):
             assert np.abs(got - sign * (t @ (gamma_r @ x))).max() <= 1e-12
 
 
+def test_metaplectic_apply_moves_once(monkeypatch):
+    """metaplectic_apply quantizes the generator that polar already built:
+    one Bogoliubov move per call, bitwise equal to transporting the form a
+    second time and implementing that move."""
+    import qfsp.implementers as impl
+
+    ps = build_standard(2, Presentation.DIAGONAL)
+    fk = build_fock(fock_form(ps), 14)
+    u = SymplecticMap(random_kappa_real(ps, np.random.default_rng(7), 0.3)
+                      @ random_symplectic(ps, np.random.default_rng(8), 0.3))
+    x = np.eye(fk.dim, dtype=complex)[:, fk.sector_mask(4)]
+    parts = polar(ps, u, fk.form)
+    gamma_r = impl._sym_power_csr(fk, restricted_rotation(fk, parts.rotation))
+    two_step = implement_T_apply(fk, fk.form, transport_form(fk.form, u.u), gamma_r @ x)
+    calls = []
+    original = impl.bogoliubov_u
+    monkeypatch.setattr(impl, "bogoliubov_u",
+                        lambda *a: calls.append(a) or original(*a))
+    got = metaplectic_apply(fk, u, x)
+    assert len(calls) == 1
+    assert np.array_equal(got, two_step)
+
+
 def test_cocycle_matches_dense_compression():
     """cocycle_sign against the compression of dense implementer products,
     on the pairs of acceptance criterion 10."""

@@ -151,6 +151,27 @@ def test_extension_degenerate_error():
         symplectic_extension(ps, [v])
 
 
+def _real_basis_loop(ps):
+    """Gamma-symmetrized standard basis vectors, normalized, each kept when
+    two classical Gram-Schmidt passes leave a real residual."""
+    picked, rows = [], []
+    for e in np.eye(ps.dim, dtype=complex):
+        for c in (e, 1j * e):
+            v = c + ps.conjugate(c)
+            nv = np.linalg.norm(v)
+            if nv < 1e-12 or len(picked) == ps.dim:
+                continue
+            v = v / nv
+            r = np.concatenate([v.real, v.imag])
+            q = r
+            for _ in range(2 if rows else 0):
+                q = q - np.array(rows).T @ (np.array(rows) @ q)
+            if np.linalg.norm(q) > 1e-10:
+                picked.append(v)
+                rows.append(q / np.linalg.norm(q))
+    return np.stack(picked, axis=1)
+
+
 def test_real_basis_is_gamma_fixed():
     for pres in Presentation:
         ps = build_standard(2, pres)
@@ -158,3 +179,14 @@ def test_real_basis_is_gamma_fixed():
         assert b.shape == (4, 4)
         for j in range(4):
             assert np.linalg.norm(ps.conjugate(b[:, j]) - b[:, j]) == 0.0
+        assert np.array_equal(b, _real_basis_loop(ps))
+    # a congruent copy (G, C) -> (A* G A, A^-1 C conj(A)) is no longer in a
+    # standard presentation
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    ps = PhaseSpace(a.conj().T @ ps.G @ a, np.linalg.solve(a, ps.C @ np.conj(a)))
+    assert validate_phase_space(ps, tol=1e-9).valid
+    b = ps.real_basis
+    assert np.linalg.norm(ps.conjugate(b) - b) <= 1e-12
+    assert np.linalg.matrix_rank(np.vstack([b.real, b.imag])) == 4
+    assert np.array_equal(b, _real_basis_loop(ps))

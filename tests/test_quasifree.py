@@ -21,6 +21,7 @@ from qfsp import (
 from qfsp.fock import build_fock, field_operator
 from qfsp.quasifree import (
     _matching_sum,
+    chi_values,
     direct_sum_form,
     fock_form,
     pairings,
@@ -266,6 +267,35 @@ def test_matching_sum_exact_on_gaussian_integers(case):
     n, entries = case
     a = np.array([complex(re, im) for re, im in entries]).reshape(n, n)
     assert _matching_sum(a) == sum(_pairing_terms(a.tolist(), n), 0.0 + 0.0j)
+
+
+def _chi_scalar(vals):
+    """chi_values for one spectrum, one eigenvalue at a time."""
+    order = np.argsort(vals)
+    d = len(vals)
+    out = np.empty(d)
+    for rank, idx in enumerate(order):
+        small = vals[order[min(rank, d - 1 - rank)]]
+        small = min(max(small, 0.0), 0.5)
+        a = np.sqrt(small)
+        b = np.sqrt(1.0 - small)
+        out[idx] = np.log(b + a) - np.log(b - a) if b > a else np.inf
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_chi_values_matches_scalar_loop(modes, rows, seed):
+    # rows of symmetric pairs s, 1 - s in shuffled order, with signed zeros,
+    # exact 1/2, tiny negatives and ties mixed in
+    rng = np.random.default_rng(seed)
+    s = rng.uniform(0.0, 0.5, size=(rows, modes))
+    pick = rng.random(size=s.shape) < 0.3
+    s[pick] = rng.choice([0.0, -0.0, 0.5, -1e-13, 1e-10, s[0, 0]], size=pick.sum())
+    vals = rng.permuted(np.concatenate([s, 1.0 - s], axis=1), axis=1)
+    got = chi_values(vals)
+    for row, spectrum in zip(got, vals):
+        assert np.array_equal(row, _chi_scalar(spectrum))
 
 
 def test_symplectic_complement_trivial_cases(diag2):
