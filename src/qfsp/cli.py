@@ -36,8 +36,8 @@ from .implementers import (
     SymplecticMap,
     cocycle_sign,
     dP_distance,
+    _metaplectic_apply,
     implement_T_apply,
-    metaplectic_apply,
     polar,
     theta,
     validate_symplectic,
@@ -242,7 +242,7 @@ def cmd_implement(u_path, p_path, config: RunConfig) -> int:
     parts = polar(ps, u, form)
     eye = SymplecticMap(np.eye(ps.dim, dtype=complex))
     fk = build_fock(form, config.cutoff)
-    psi = metaplectic_apply(fk, u, fk.vacuum)
+    psi = _metaplectic_apply(fk, parts, fk.vacuum)
     corner = form.s_op @ u.u @ (np.eye(ps.dim) - form.s_op)
     corner_hs = hs_norm(corner, form.gram)
     continuity_lhs = float(np.linalg.norm(psi - fk.vacuum) ** 2)
@@ -350,7 +350,8 @@ def cmd_modular(s_path, config: RunConfig) -> int:
         a_star = field_operator(fk, dd.embed(gg)) @ field_operator(fk, dd.embed(gf))
         tomita.append(tomita_residual(md, a, a_star))
         kms.append(kms_residual(md, field_operator(fk, dd.embed(gf)), bf))
-    delta_fix = float(np.linalg.norm(md.delta_unitary(0.7) @ fk.vacuum - fk.vacuum))
+    delta_fix = float(np.linalg.norm(md.delta_power_apply(1j * 0.7, fk.vacuum)
+                                     - fk.vacuum))
     report = {
         "H_S_spectrum": [float(v) for v in h_vals],
         "tomita_residuals": [float(v) for v in tomita],
@@ -429,7 +430,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, rest = parser.parse_known_args(argv)
+    if rest:  # the command's usage line lists the options it accepts
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        sub.choices[args.command].error(f"unrecognized arguments: {' '.join(rest)}")
     try:
         config = RunConfig(**{f.name: getattr(args, f.name)
                               for f in fields(RunConfig) if hasattr(args, f.name)})

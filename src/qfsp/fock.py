@@ -6,10 +6,13 @@ shift total number by at most two and that makes the truncation error
 uniform.  Field and Weyl operators, exponential vectors, parity and number
 structure, and tensor factorization checks live here.
 
-Ladder operators, fields B(f), normal-ordered quadratics and symmetric
-powers Gamma(R) are scipy CSR matrices; a FockOperator stores that form.
-A dense matrix is formed only on request, through ``FockOperator.matrix``
-or ``create``/``annihilate``.
+Ladder operators, fields B(f) and normal-ordered quadratics are scipy CSR
+matrices; a FockOperator stores that form.  A dense matrix is formed only
+on request, through ``FockOperator.matrix`` or ``create``/``annihilate``.
+A symmetric power Gamma(R) conserves particle number: ``_sym_power_apply``
+builds its diagonal blocks only up to the operand's top sector, and
+``_sym_power_csr`` assembles all of them for callers that need the whole
+operator.
 """
 
 from __future__ import annotations
@@ -92,6 +95,7 @@ class TruncatedFock:
         self.occupations = _occupation_tuples(self.modes, self.cutoff)
         self.index = {occ: i for i, occ in enumerate(self.occupations)}
         self.dim = len(self.occupations)
+        self._sym_power_layouts = {}  # sector -> _sym_power_layout(sector)
 
     @cached_property
     def totals(self) -> np.ndarray:
@@ -99,6 +103,35 @@ class TruncatedFock:
 
     def sector_mask(self, max_total: int) -> np.ndarray:
         return self.totals <= max_total
+
+    @cached_property
+    def _sector_bounds(self) -> np.ndarray:
+        """Sector n occupies the indices _sector_bounds[n]:_sector_bounds[n + 1]."""
+        return np.searchsorted(self.totals, np.arange(self.cutoff + 2))
+
+    def _sym_power_layout(self, n: int) -> list:
+        """Column groups of sector n >= 1 for the symmetric-power blocks.
+
+        One (mode, cols, parents, roots) per mode that is the last occupied
+        mode of some occupation k in the sector: the in-sector columns of
+        those k, the in-sector indices of k - e_mode one sector below, and
+        sqrt(k_mode).  Built on first use of each sector and kept.
+        """
+        if n not in self._sym_power_layouts:
+            lo, hi = self._sector_bounds[n], self._sector_bounds[n + 1]
+            prev_lo = self._sector_bounds[n - 1]
+            groups = {}
+            for k, occ in enumerate(self.occupations[lo:hi]):
+                mode = max(i for i, c in enumerate(occ) if c > 0)
+                parent = occ[:mode] + (occ[mode] - 1,) + occ[mode + 1:]
+                group = groups.setdefault(mode, ([], [], []))
+                group[0].append(k)
+                group[1].append(self.index[parent] - prev_lo)
+                group[2].append(np.sqrt(occ[mode]))
+            self._sym_power_layouts[n] = [
+                (mode, np.array(cols), np.array(parents), np.array(roots))
+                for mode, (cols, parents, roots) in sorted(groups.items())]
+        return self._sym_power_layouts[n]
 
     @cached_property
     def vacuum(self) -> np.ndarray:
@@ -279,33 +312,64 @@ def number_operator(fk: TruncatedFock) -> FockOperator:
     return FockOperator(np.diag(fk.totals.astype(float)).astype(complex))
 
 
-def _sym_power_csr(fk: TruncatedFock, r: np.ndarray):
-    """CSR matrix of the symmetric-power action of an m x m mode-space matrix.
+def _sym_power_blocks(fk: TruncatedFock, r: np.ndarray, top: int) -> list:
+    """Dense diagonal blocks of Gamma(r) on the sectors 0..top.
 
     Column for occupation k is prod_i (sum_j r_ji bdag_j)^{k_i} / sqrt(k_i!)
     applied to the vacuum, which is the exact per-sector tensor power; no
     matrix logarithm is involved.  Each column is one creation step from a
-    column of the sector below, so the result is built as diagonal blocks.
+    column of the sector below, taken along its last occupied mode, so one
+    sparse product per mode fills all the columns of a sector that share it.
     """
-    from scipy.sparse import block_diag
-
     r = np.asarray(r, dtype=complex)
     if r.shape != (fk.modes, fk.modes):
         raise InvalidArgumentError("mode matrix has wrong shape")
+    blocks = [np.ones((1, 1), dtype=complex)]
+    if top < 1:
+        return blocks
     transformed = [fk._ladder_sum(np.concatenate([r[:, i], np.zeros(fk.modes)]))
                    for i in range(fk.modes)]
-    bounds = np.searchsorted(fk.totals, np.arange(fk.cutoff + 2))
-    blocks = [np.ones((1, 1), dtype=complex)]
-    for n in range(1, fk.cutoff + 1):
+    bounds = fk._sector_bounds
+    for n in range(1, top + 1):
         lo, hi, prev_lo = bounds[n], bounds[n + 1], bounds[n - 1]
-        steps = [t[lo:hi, prev_lo:lo] for t in transformed]
         block = np.empty((hi - lo, hi - lo), dtype=complex)
-        for k, occ in enumerate(fk.occupations[lo:hi]):
-            mode = max(i for i, c in enumerate(occ) if c > 0)
-            prev = fk.index[occ[:mode] + (occ[mode] - 1,) + occ[mode + 1:]] - prev_lo
-            block[:, k] = steps[mode] @ blocks[-1][:, prev] / np.sqrt(occ[mode])
+        for mode, cols, parents, roots in fk._sym_power_layout(n):
+            block[:, cols] = transformed[mode][lo:hi, prev_lo:lo] \
+                @ blocks[-1][:, parents] / roots
         blocks.append(block)
-    return block_diag(blocks, format="csr")
+    return blocks
+
+
+def _sym_power_csr(fk: TruncatedFock, r: np.ndarray):
+    """CSR matrix of the symmetric-power action of an m x m mode-space
+    matrix on every sector up to the cutoff, for callers that need the whole
+    operator; :func:`_sym_power_apply` applies it to vectors."""
+    from scipy.sparse import block_diag
+
+    return block_diag(_sym_power_blocks(fk, r, fk.cutoff), format="csr")
+
+
+def _sym_power_apply(fk: TruncatedFock, r: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Gamma(r) @ x for a vector or a stack of columns x.
+
+    Gamma(r) conserves particle number, so only the blocks up to the top
+    sector of x's exactly nonzero rows are built; the rows above it are
+    exactly zero.  Each block acts as CSR, so the result is bitwise equal to
+    ``_sym_power_csr(fk, r) @ x``.
+    """
+    from scipy.sparse import csr_matrix
+
+    x = np.asarray(x, dtype=complex)
+    if len(x) != fk.dim:
+        raise InvalidArgumentError("operand does not live on this Fock space")
+    rows = np.flatnonzero(x.reshape(len(x), -1).any(axis=1))
+    top = int(fk.totals[rows[-1]]) if rows.size else 0
+    out = np.zeros_like(x)
+    bounds = fk._sector_bounds
+    for n, block in enumerate(_sym_power_blocks(fk, r, top)):
+        sector = slice(bounds[n], bounds[n + 1])
+        out[sector] = csr_matrix(block) @ x[sector]
+    return out
 
 
 def second_quantize_unitary(fk: TruncatedFock, r: np.ndarray) -> FockOperator:

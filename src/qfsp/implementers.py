@@ -22,7 +22,7 @@ from .errors import (
     InternalConsistencyError,
     InvalidArgumentError,
 )
-from .fock import FockOperator, TruncatedFock, _sym_power_csr
+from .fock import FockOperator, TruncatedFock, _sym_power_apply
 from .linalg import expm_apply, hs_norm, op_norm
 from .phase_space import PhaseSpace, ValidationReport, gamma_adjoint
 from .quasifree import QuasifreeForm, transport_form
@@ -203,9 +203,9 @@ def polar(ps: PhaseSpace, u: SymplecticMap, projection: QuasifreeForm) -> PolarP
     udag = gamma_adjoint(ps, m)
     eye = np.eye(ps.dim)
     corner = p @ m @ (eye - p) @ udag @ p
-    vals, vecs = _angle_data(projection, other)
-    sinh2 = projection.calculus.fn_of_eig(vals, vecs, vals)
-    ident_res = np.linalg.norm(corner + sinh2 @ p, 2)
+    # sinh^2(theta) = -(S - S')^2, the operator bogoliubov_u diagonalized
+    diff = p - other.s_op
+    ident_res = np.linalg.norm(corner - diff @ diff @ p, 2)
     if ident_res > POLAR_CORNER_TOL * max(1.0, np.linalg.norm(m, 2) ** 2):
         raise InternalConsistencyError(
             f"corner identity residual {ident_res:.3e} out of tolerance"
@@ -243,15 +243,21 @@ def metaplectic_apply(fk: TruncatedFock, u: SymplecticMap, x: np.ndarray,
 
     The phase is pinned by the positive vacuum overlap of the T factor and
     the exact symmetric-power action of the rotation; M conjugates Weyl
-    operators by U on low sectors.  Neither factor is formed densely, and T
-    is exp(-i q(H)) with the generator H that :func:`polar` already built.
+    operators by U on low sectors.  Neither factor is formed densely:
+    Gamma(R) is built only up to the top sector of x, and T is exp(-i q(H))
+    with the generator H that :func:`polar` already built.
     """
     if sign not in (1, -1):
         raise InvalidArgumentError("sign must be +1 or -1")
-    parts = polar(fk.form.space, u, fk.form)
-    gamma_r = _sym_power_csr(fk, restricted_rotation(fk, parts.rotation))
-    return float(sign) * expm_apply(-1j * _quantize_csr(fk, parts.generator),
-                                    gamma_r @ np.asarray(x, dtype=complex))
+    return float(sign) * _metaplectic_apply(fk, polar(fk.form.space, u, fk.form), x)
+
+
+def _metaplectic_apply(fk: TruncatedFock, parts: PolarParts,
+                       x: np.ndarray) -> np.ndarray:
+    """T(P, P') Gamma(R) x from the polar parts of U; Gamma(R) is built only
+    up to the top sector of x."""
+    gamma_r_x = _sym_power_apply(fk, restricted_rotation(fk, parts.rotation), x)
+    return expm_apply(-1j * _quantize_csr(fk, parts.generator), gamma_r_x)
 
 
 def metaplectic(fk: TruncatedFock, u: SymplecticMap) -> FockOperator:

@@ -7,6 +7,12 @@ the mode space; Delta^z = Gamma(e^{-z h}), generated by the normal-ordered
 dGamma(h), is exact on every sector, the top one included.  The
 conjugation swaps the two copies through Gamma and second-quantizes
 antilinearly.
+
+Delta^z and J conserve particle number, and the residual suite applies them
+only to vectors in sectors <= 2, so ``ModularData`` applies them through
+``fock._sym_power_apply``, which builds blocks only up to the operand's top
+sector.  The whole operators (``delta_power``, ``conjugation``) are built
+through ``fock._sym_power_csr`` on request.
 """
 
 from __future__ import annotations
@@ -17,7 +23,13 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BoundaryError, InternalConsistencyError
-from .fock import FockOperator, TruncatedFock, _sym_power_csr, second_quantize_unitary
+from .fock import (
+    FockOperator,
+    TruncatedFock,
+    _sym_power_apply,
+    _sym_power_csr,
+    second_quantize_unitary,
+)
 from .quasifree import DoubledSpace, QuasifreeForm
 
 __all__ = [
@@ -72,12 +84,12 @@ def modular_generator(fk: TruncatedFock, h: np.ndarray) -> FockOperator:
     return FockOperator(fk._quadratic(h, 0, 0))
 
 
-def modular_conjugation(dd: DoubledSpace, fk: TruncatedFock) -> FockOperator:
-    """Antilinear conjugation: copy swap composed with Gamma, quantized.
+def _conjugation_mode(dd: DoubledSpace, fk: TruncatedFock) -> np.ndarray:
+    """m x m matrix of the copy swap composed with Gamma on the mode space.
 
     The one-particle map omega(f + g) = Gamma g + Gamma f commutes with the
     doubled projection and is antiunitary on its range; both facts are
-    validated before the symmetric-power lift.
+    validated before it is returned.
     """
     base = dd.base
     d = base.space.dim
@@ -100,17 +112,26 @@ def modular_conjugation(dd: DoubledSpace, fk: TruncatedFock) -> FockOperator:
             f"restricted conjugation is not antiunitary "
             f"(unitary {unit_res:.3e}, involution {invol_res:.3e})"
         )
-    return FockOperator(_sym_power_csr(fk, j_mode), antilinear=True)
+    return j_mode
+
+
+def modular_conjugation(dd: DoubledSpace, fk: TruncatedFock) -> FockOperator:
+    """Antilinear conjugation: copy swap composed with Gamma, quantized
+    antilinearly as the symmetric-power lift of the validated mode matrix."""
+    return FockOperator(_sym_power_csr(fk, _conjugation_mode(dd, fk)),
+                        antilinear=True)
 
 
 @dataclass(frozen=True)
 class ModularData:
     """Modular data on the doubling: the m x m Hermitian ``mode_hamiltonian``
-    h, ``generator`` dGamma(h), and powers Delta^z = Gamma(e^{-z h})."""
+    h, ``generator`` dGamma(h), powers Delta^z = Gamma(e^{-z h}) and the
+    conjugation J = Gamma(j_mode) conj, with ``j_mode`` the validated m x m
+    mode matrix of the copy swap."""
 
     one_particle: np.ndarray
     mode_hamiltonian: np.ndarray
-    conjugation: FockOperator
+    j_mode: np.ndarray
     fock: TruncatedFock
 
     @cached_property
@@ -119,19 +140,35 @@ class ModularData:
         return modular_generator(self.fock, self.mode_hamiltonian)
 
     @cached_property
+    def conjugation(self) -> FockOperator:
+        """J as a whole antilinear operator, assembled on first use."""
+        return FockOperator(_sym_power_csr(self.fock, self.j_mode), antilinear=True)
+
+    @cached_property
     def _h_eigh(self):
         """Eigendecomposition of the mode-space h, taken once."""
         return np.linalg.eigh(self.mode_hamiltonian)
 
-    def delta_power(self, z: complex) -> FockOperator:
-        """Delta^z = Gamma(e^{-z h}) through the cached eigendecomposition."""
+    def _delta_mode(self, z: complex) -> np.ndarray:
+        """e^{-z h} through the cached eigendecomposition."""
         vals, vecs = self._h_eigh
-        return second_quantize_unitary(self.fock,
-                                       (vecs * np.exp(-z * vals)) @ vecs.conj().T)
+        return (vecs * np.exp(-z * vals)) @ vecs.conj().T
+
+    def delta_power(self, z: complex) -> FockOperator:
+        """Delta^z = Gamma(e^{-z h}) as a whole operator."""
+        return second_quantize_unitary(self.fock, self._delta_mode(z))
 
     def delta_unitary(self, t: float) -> FockOperator:
         """Delta^{it} = Gamma(e^{-i t h})."""
         return self.delta_power(1j * t)
+
+    def delta_power_apply(self, z: complex, x: np.ndarray) -> np.ndarray:
+        """Delta^z x, built only up to the top sector of x."""
+        return _sym_power_apply(self.fock, self._delta_mode(z), x)
+
+    def conjugation_apply(self, x: np.ndarray) -> np.ndarray:
+        """J x, built only up to the top sector of x."""
+        return _sym_power_apply(self.fock, self.j_mode, np.conj(x))
 
 
 def build_modular(dd: DoubledSpace, fk: TruncatedFock) -> ModularData:
@@ -140,7 +177,7 @@ def build_modular(dd: DoubledSpace, fk: TruncatedFock) -> ModularData:
     return ModularData(
         one_particle=h_s,
         mode_hamiltonian=h,
-        conjugation=modular_conjugation(dd, fk),
+        j_mode=_conjugation_mode(dd, fk),
         fock=fk,
     )
 
@@ -153,15 +190,13 @@ def tomita_residual(md: ModularData, a: FockOperator,
                     a_star: FockOperator) -> float:
     """|| J Delta^(1/2) A Psi - A^* Psi ||, zero in exact modular theory."""
     fk = md.fock
-    vec = a.apply(fk.vacuum)
-    vec = md.delta_power(0.5) @ vec
-    vec = md.conjugation.apply(vec)
+    vec = md.conjugation_apply(md.delta_power_apply(0.5, a.apply(fk.vacuum)))
     return float(np.linalg.norm(vec - a_star.apply(fk.vacuum)))
 
 
 def kms_residual(md: ModularData, a: FockOperator, b: FockOperator) -> float:
     """| <Psi, A Delta B Psi> - <Psi, B A Psi> |."""
     fk = md.fock
-    left = np.vdot(fk.vacuum, a.apply(md.delta_power(1.0) @ b.apply(fk.vacuum)))
+    left = np.vdot(fk.vacuum, a.apply(md.delta_power_apply(1.0, b.apply(fk.vacuum))))
     right = np.vdot(fk.vacuum, b.apply(a.apply(fk.vacuum)))
     return float(abs(left - right))

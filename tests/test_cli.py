@@ -192,6 +192,51 @@ def test_modular_command(inputs, capsys):
     assert main(["modular", inputs["thermal.json"], "--cutoff", "4"]) == 5
 
 
+def _thermal_input(tmp_path, nus):
+    ps = qfsp.build_standard(len(nus), qfsp.Presentation.DIAGONAL)
+    path = str(tmp_path / f"thermal{len(nus)}.json")
+    dump_json(encode_form(thermal_form(ps, nus)), path)
+    return path
+
+
+def test_gamma_is_applied_by_sector(inputs, tmp_path, monkeypatch):
+    """modular and implement apply every symmetric power through its blocks
+    up to the operand's top sector: no whole Gamma(R) is built, and modular's
+    operands, B(f)B(g)Psi and Psi, need no block above sector 2."""
+    import qfsp.fock as fock
+    import qfsp.implementers as impl
+    import qfsp.modular as modular
+
+    whole, tops = [], []
+    csr = fock._sym_power_csr
+    for mod in (fock, impl, modular):
+        if hasattr(mod, "_sym_power_csr"):
+            monkeypatch.setattr(mod, "_sym_power_csr",
+                                lambda *a: whole.append(a) or csr(*a))
+    blocks = fock._sym_power_blocks
+    monkeypatch.setattr(fock, "_sym_power_blocks",
+                        lambda *a: tops.append(a[2]) or blocks(*a))
+    out = str(tmp_path / "report.json")
+    assert main(["modular", _thermal_input(tmp_path, [0.3, 0.5, 0.7]),
+                 "--cutoff", "8", "--out", out]) == 0
+    assert len(tops) == 13 and max(tops) == 2  # 4 Tomita, 4 KMS, Delta^{it}
+    assert main(["implement", inputs["squeeze04.json"], inputs["fock.json"],
+                 "--cutoff", "40", "--bruteforce", "--out", out]) == 0
+    assert whole == []
+
+
+def test_modular_report_does_not_depend_on_the_cutoff(tmp_path):
+    path = _thermal_input(tmp_path, [0.3, 0.7])
+    reports = {}
+    for cutoff in ("8", "14"):
+        reports[cutoff] = str(tmp_path / f"modular-{cutoff}.json")
+        assert main(["modular", path, "--cutoff", cutoff,
+                     "--out", reports[cutoff]]) == 0
+    low, high = (open(reports[c], "rb").read() for c in ("8", "14"))
+    assert low != high
+    assert low.replace(b'"cutoff": 8', b'"cutoff": 14') == high
+
+
 def test_reports_are_deterministic_across_threads(inputs, tmp_path):
     a = str(tmp_path / "a.json")
     b = str(tmp_path / "b.json")
@@ -238,7 +283,9 @@ def test_unread_option_is_a_usage_error(inputs, capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err
+    assert err.startswith(f"usage: qfsp {argv[0]} ")
 
 
 def test_classify_csv_matches_pair_oracle(tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qfsp import (
     InvalidArgumentError,
@@ -9,6 +10,8 @@ from qfsp import (
     double,
 )
 from qfsp.fock import (
+    _sym_power_apply,
+    _sym_power_csr,
     build_fock,
     exponential_vector,
     factorization_check,
@@ -254,3 +257,49 @@ def test_doubled_pure_form_decouples_hamiltonians(diag1, rng):
     assert np.linalg.norm(fk.mode_basis[:2, 1]) < 1e-12
     n2 = fk.create(1) @ fk.annihilate(1)
     assert fk.restricted_norm(qq @ n2 - n2 @ qq, fk.cutoff - 2) <= 1e-10
+
+
+def _sym_power_loop(fk, r):
+    """Gamma(r) column by column, each column one creation step from its
+    parent one sector below (the column loop the grouped blocks replaced)."""
+    from scipy.sparse import block_diag
+
+    transformed = [fk._ladder_sum(np.concatenate([r[:, i], np.zeros(fk.modes)]))
+                   for i in range(fk.modes)]
+    bounds = np.searchsorted(fk.totals, np.arange(fk.cutoff + 2))
+    blocks = [np.ones((1, 1), dtype=complex)]
+    for n in range(1, fk.cutoff + 1):
+        lo, hi, prev_lo = bounds[n], bounds[n + 1], bounds[n - 1]
+        steps = [t[lo:hi, prev_lo:lo] for t in transformed]
+        block = np.empty((hi - lo, hi - lo), dtype=complex)
+        for k, occ in enumerate(fk.occupations[lo:hi]):
+            mode = max(i for i, c in enumerate(occ) if c > 0)
+            prev = fk.index[occ[:mode] + (occ[mode] - 1,) + occ[mode + 1:]] - prev_lo
+            block[:, k] = steps[mode] @ blocks[-1][:, prev] / np.sqrt(occ[mode])
+        blocks.append(block)
+    return block_diag(blocks, format="csr")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(1, 12), (2, 8), (3, 5), (4, 3)]), st.integers(0, 4),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_sym_power_apply_matches_whole_operator(shape, k, stacked, seed):
+    """Gamma(r) x from the blocks up to x's top sector is the whole CSR
+    Gamma(r) @ x bit for bit, and the rows above sector k are exactly 0; the
+    whole CSR is bitwise the column-by-column construction."""
+    modes, cutoff = shape
+    fk = build_fock(fock_form(build_standard(modes, Presentation.DIAGONAL)), cutoff)
+    rng = np.random.default_rng(seed)
+    r = rng.normal(size=(modes, modes)) + 1j * rng.normal(size=(modes, modes))
+    size = (fk.dim, 3) if stacked else fk.dim
+    x = rng.normal(size=size) + 1j * rng.normal(size=size)
+    x[rng.random(fk.dim) < 0.3] = 0.0  # the top nonzero row may sit below k
+    x[~fk.sector_mask(k)] = 0.0
+    whole = _sym_power_csr(fk, r)
+    oracle = _sym_power_loop(fk, r)
+    assert np.array_equal(whole.indptr, oracle.indptr)
+    assert np.array_equal(whole.indices, oracle.indices)
+    assert whole.data.tobytes() == oracle.data.tobytes()
+    got = _sym_power_apply(fk, r, x)
+    assert got.tobytes() == (whole @ x).tobytes()
+    assert not got[~fk.sector_mask(k)].any()

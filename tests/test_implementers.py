@@ -379,11 +379,15 @@ def test_apply_matches_dense_expm(modes, cutoff):
             assert np.abs(got - sign * (t @ (gamma_r @ x))).max() <= 1e-12
 
 
-def test_metaplectic_apply_moves_once(monkeypatch):
+def test_metaplectic_apply_moves_once(monkeypatch, tmp_path):
     """metaplectic_apply quantizes the generator that polar already built:
     one Bogoliubov move per call, bitwise equal to transporting the form a
-    second time and implementing that move."""
+    second time and implementing that move.  ``qfsp implement`` reuses its
+    own polar parts for the moved vacuum, so it makes one move as well."""
     import qfsp.implementers as impl
+    from qfsp.cli import main
+    from qfsp.fock import _sym_power_csr
+    from qfsp.serialize import dump_json, encode_complex_matrix, encode_form
 
     ps = build_standard(2, Presentation.DIAGONAL)
     fk = build_fock(fock_form(ps), 14)
@@ -391,7 +395,7 @@ def test_metaplectic_apply_moves_once(monkeypatch):
                       @ random_symplectic(ps, np.random.default_rng(8), 0.3))
     x = np.eye(fk.dim, dtype=complex)[:, fk.sector_mask(4)]
     parts = polar(ps, u, fk.form)
-    gamma_r = impl._sym_power_csr(fk, restricted_rotation(fk, parts.rotation))
+    gamma_r = _sym_power_csr(fk, restricted_rotation(fk, parts.rotation))
     two_step = implement_T_apply(fk, fk.form, transport_form(fk.form, u.u), gamma_r @ x)
     calls = []
     original = impl.bogoliubov_u
@@ -400,6 +404,28 @@ def test_metaplectic_apply_moves_once(monkeypatch):
     got = metaplectic_apply(fk, u, x)
     assert len(calls) == 1
     assert np.array_equal(got, two_step)
+
+    proj, sym = str(tmp_path / "fock.json"), str(tmp_path / "u.json")
+    dump_json(encode_form(fk.form), proj)
+    dump_json(encode_complex_matrix(u.u), sym)
+    calls.clear()
+    assert main(["implement", sym, proj, "--cutoff", "14", "--out",
+                 str(tmp_path / "report.json")]) == 0
+    assert len(calls) == 1
+
+
+def test_polar_diagonalizes_once(monkeypatch, diag2, rng):
+    """Each polar takes the eigen-data of the angle operator once."""
+    import qfsp.implementers as impl
+
+    calls = []
+    original = impl._angle_data
+    monkeypatch.setattr(impl, "_angle_data",
+                        lambda *a: calls.append(a) or original(*a))
+    for _ in range(3):
+        polar(diag2, SymplecticMap(random_symplectic(diag2, rng, 0.4)),
+              fock_form(diag2))
+    assert len(calls) == 3
 
 
 def test_cocycle_matches_dense_compression():
