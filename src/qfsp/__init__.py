@@ -91,7 +91,6 @@ from .modular import (
     ModularData,
     build_modular,
     kms_residual,
-    modular_conjugation,
     modular_generator,
     one_particle_modular,
     tomita_residual,

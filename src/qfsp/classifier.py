@@ -483,7 +483,10 @@ def family_from_json(data: dict) -> ModeFamily:
         if not isinstance(blocks, list) or len(blocks) < n_max:
             raise ParseError("explicit family needs at least n_max blocks")
         decoded = []
-        for entry in blocks[:n_max]:
+        for i, entry in enumerate(blocks[:n_max]):
+            if not isinstance(entry, dict) or \
+                    not {"space", "Sigma", "Sigma_prime"} <= set(entry):
+                raise ParseError(f"explicit block {i} needs keys space, Sigma, Sigma_prime")
             space_form = decode_form({"space": entry["space"],
                                       "Sigma": entry["Sigma"]})
             other = decode_form({"space": entry["space"],

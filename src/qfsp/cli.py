@@ -170,7 +170,7 @@ def _moment_bruteforce(form: QuasifreeForm, vectors) -> complex:
     fk = build_fock(dd.hat_form, cutoff)
     vec = fk.vacuum
     for f in reversed(vectors):
-        vec = field_operator(fk, dd.embed(f)).matrix @ vec
+        vec = field_operator(fk, dd.embed(f)).apply(vec)
     return complex(np.vdot(fk.vacuum, vec))
 
 

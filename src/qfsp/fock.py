@@ -6,20 +6,23 @@ shift total number by at most two and that makes the truncation error
 uniform.  Field and Weyl operators, exponential vectors, parity and number
 structure, and tensor factorization checks live here.
 
+The basis is one dim x m integer array, ``TruncatedFock.occ``, ordered by the
+closed-form ``_occupation_rank``; the creation table and every layout below
+are read from it by indexing.
+
 Ladder operators, fields B(f) and normal-ordered quadratics are scipy CSR
 matrices; a FockOperator stores that form.  A dense matrix is formed only
 on request, through ``FockOperator.matrix`` or ``create``/``annihilate``.
 A symmetric power Gamma(R) conserves particle number: ``_sym_power_apply``
 builds its diagonal blocks only up to the operand's top sector, and
-``_sym_power_csr`` assembles all of them for callers that need the whole
-operator.
+``second_quantize_unitary`` assembles all of them for callers that need the
+whole operator.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations_with_replacement
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 
@@ -92,14 +95,12 @@ class TruncatedFock:
         self.cutoff = int(cutoff)
         self.mode_basis = mode_basis  # columns are the (.,.)_P-orthonormal modes
         self.modes = mode_basis.shape[1]
-        self.occupations = _occupation_tuples(self.modes, self.cutoff)
-        self.index = {occ: i for i, occ in enumerate(self.occupations)}
-        self.dim = len(self.occupations)
-        self._sym_power_layouts = {}  # sector -> _sym_power_layout(sector)
+        self.occ = _occupation_table(self.modes, self.cutoff)
+        self.dim = len(self.occ)
 
     @cached_property
     def totals(self) -> np.ndarray:
-        return np.array([sum(occ) for occ in self.occupations])
+        return self.occ.sum(axis=1)
 
     def sector_mask(self, max_total: int) -> np.ndarray:
         return self.totals <= max_total
@@ -109,29 +110,26 @@ class TruncatedFock:
         """Sector n occupies the indices _sector_bounds[n]:_sector_bounds[n + 1]."""
         return np.searchsorted(self.totals, np.arange(self.cutoff + 2))
 
-    def _sym_power_layout(self, n: int) -> list:
-        """Column groups of sector n >= 1 for the symmetric-power blocks.
+    @cached_property
+    def creation(self) -> np.ndarray:
+        """dim x m table: entry (i, j) is the index of occ[i] + e_j, or -1
+        when occ[i] is in the top sector."""
+        below = self._sector_bounds[self.cutoff]
+        out = np.full((self.dim, self.modes), -1)
+        for j, unit in enumerate(np.eye(self.modes, dtype=self.occ.dtype)):
+            out[:below, j] = _occupation_rank(self.occ[:below] + unit)
+        return out
 
-        One (mode, cols, parents, roots) per mode that is the last occupied
-        mode of some occupation k in the sector: the in-sector columns of
-        those k, the in-sector indices of k - e_mode one sector below, and
-        sqrt(k_mode).  Built on first use of each sector and kept.
-        """
-        if n not in self._sym_power_layouts:
-            lo, hi = self._sector_bounds[n], self._sector_bounds[n + 1]
-            prev_lo = self._sector_bounds[n - 1]
-            groups = {}
-            for k, occ in enumerate(self.occupations[lo:hi]):
-                mode = max(i for i, c in enumerate(occ) if c > 0)
-                parent = occ[:mode] + (occ[mode] - 1,) + occ[mode + 1:]
-                group = groups.setdefault(mode, ([], [], []))
-                group[0].append(k)
-                group[1].append(self.index[parent] - prev_lo)
-                group[2].append(np.sqrt(occ[mode]))
-            self._sym_power_layouts[n] = [
-                (mode, np.array(cols), np.array(parents), np.array(roots))
-                for mode, (cols, parents, roots) in sorted(groups.items())]
-        return self._sym_power_layouts[n]
+    @cached_property
+    def _gamma_parents(self):
+        """Per occupation k: its last occupied mode, the index of k - e_last
+        and sqrt(k_last).  Gamma(R) builds column k from column k - e_last;
+        the entries of the vacuum (row 0) are not used."""
+        last = self.modes - 1 - np.argmax(self.occ[:, ::-1] > 0, axis=1)
+        step = np.eye(self.modes, dtype=self.occ.dtype)[last]
+        step[0] = 0
+        return (last, _occupation_rank(self.occ - step),
+                np.sqrt(self.occ[np.arange(self.dim), last]))
 
     @cached_property
     def vacuum(self) -> np.ndarray:
@@ -147,20 +145,15 @@ class TruncatedFock:
         transpose; the 2m supports are disjoint, so entry e is
         ``c[which[e]] * weight[e]``.
         """
-        rows, cols, which, weight = [], [], [], []
-        for i, occ in enumerate(self.occupations):
-            for mode in range(self.modes if sum(occ) < self.cutoff else 0):
-                target = list(occ)
-                target[mode] += 1
-                j = self.index[tuple(target)]
-                rows += [j, i]
-                cols += [i, j]
-                which += [mode, self.modes + mode]
-                weight += [np.sqrt(occ[mode] + 1.0)] * 2
-        rows, cols = np.array(rows, dtype=int), np.array(cols, dtype=int)
+        src, mode = np.nonzero(self.creation >= 0)
+        dst = self.creation[src, mode]
+        rows = np.column_stack([dst, src]).ravel()
+        cols = np.column_stack([src, dst]).ravel()
+        which = np.column_stack([mode, self.modes + mode]).ravel()
+        weight = np.repeat(np.sqrt(self.occ[src, mode] + 1.0), 2)
         order = np.lexsort((cols, rows))
         indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=self.dim))])
-        return np.array(which, dtype=int)[order], np.array(weight)[order], cols[order], indptr
+        return which[order], weight[order], cols[order], indptr
 
     def _ladder_sum(self, coefs: np.ndarray):
         """CSR matrix of sum_i coefs[i] bdag_i + coefs[m + i] b_i."""
@@ -210,20 +203,39 @@ class TruncatedFock:
         return f"TruncatedFock(modes={self.modes}, cutoff={self.cutoff}, dim={self.dim})"
 
 
-def _occupation_tuples(modes: int, cutoff: int):
-    """All tuples with nonnegative entries and total <= cutoff, ordered by
-    total then lexicographically; index 0 is the vacuum."""
-    out = []
-    for total in range(cutoff + 1):
-        for slots in combinations_with_replacement(range(modes), total):
-            occ = [0] * modes
-            for s in slots:
-                occ[s] += 1
-            out.append(tuple(occ))
-    # combinations_with_replacement gives a deterministic but non-lex order
-    # within a sector; sort for a stable, documented layout
-    out.sort(key=lambda occ: (sum(occ), occ))
-    return out
+def _occupation_rank(occ: np.ndarray) -> np.ndarray:
+    """Index of each occupation (last axis of ``occ``) in the order by total,
+    then lexicographically.  With n = |k|, r_i = n - sum_{l<i} k_l and
+    q_i = m - 1 - i, index(k) = C(n+m-1, m) + sum_i [C(r_i+q_i, q_i) -
+    C(r_i-k_i+q_i, q_i)]: the occupations of lower total, then, mode by mode,
+    those of total n that agree with k before mode i and hold fewer than k_i
+    in it (the last mode's term is C(k_i, 0) - C(0, 0) = 0).
+    """
+    occ = np.asarray(occ)
+    m = occ.shape[-1]
+    total = occ.sum(axis=-1)
+    top = int(total.max(initial=0))
+    below = np.array([comb(n + m - 1, m) if n else 0 for n in range(top + 1)])
+    # table[r, i] = C(r + q_i, q_i), read flat at r * m + i
+    table = np.array([comb(r + m - 1 - i, m - 1 - i)
+                      for r in range(top + 1) for i in range(m)], dtype=np.int64)
+    r = total[..., None] - np.cumsum(occ, axis=-1) + occ
+    modes = np.arange(m)
+    return below[total] + (table[r * m + modes] - table[(r - occ) * m + modes]).sum(axis=-1)
+
+
+def _occupation_table(modes: int, cutoff: int) -> np.ndarray:
+    """All occupations with total <= cutoff as a dim x modes array, in the
+    order of :func:`_occupation_rank`."""
+    occ = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(modes):  # append every count of one more mode that fits
+        room = cutoff + 1 - occ.sum(axis=1)
+        start = np.repeat(np.cumsum(room) - room, room)
+        occ = np.column_stack([np.repeat(occ, room, axis=0),
+                               np.arange(start.size) - start])
+    ordered = np.empty_like(occ)
+    ordered[_occupation_rank(occ)] = occ
+    return ordered
 
 
 def build_fock(form: QuasifreeForm, cutoff: int) -> TruncatedFock:
@@ -286,18 +298,10 @@ def exponential_vector(fk: TruncatedFock, u: np.ndarray,
     if parity not in ("full", "even", "odd"):
         raise InvalidArgumentError("parity must be 'full', 'even' or 'odd'")
     c = fk.mode_coords(np.asarray(u, dtype=complex))
-    out = np.zeros(fk.dim, dtype=complex)
-    for i, occ in enumerate(fk.occupations):
-        total = sum(occ)
-        if parity == "even" and total % 2 == 1:
-            continue
-        if parity == "odd" and total % 2 == 0:
-            continue
-        coef = 1.0 + 0.0j
-        for ci, ki in zip(c, occ):
-            if ki:
-                coef *= ci ** ki / np.sqrt(float(factorial(ki)))
-        out[i] = coef
+    root_factorial = np.sqrt([float(factorial(k)) for k in range(fk.cutoff + 1)])
+    out = np.prod(c ** fk.occ / root_factorial[fk.occ], axis=1)
+    if parity != "full":
+        out[fk.totals % 2 != (parity == "odd")] = 0.0
     return out
 
 
@@ -329,24 +333,17 @@ def _sym_power_blocks(fk: TruncatedFock, r: np.ndarray, top: int) -> list:
         return blocks
     transformed = [fk._ladder_sum(np.concatenate([r[:, i], np.zeros(fk.modes)]))
                    for i in range(fk.modes)]
+    last, parents, roots = fk._gamma_parents
     bounds = fk._sector_bounds
     for n in range(1, top + 1):
         lo, hi, prev_lo = bounds[n], bounds[n + 1], bounds[n - 1]
         block = np.empty((hi - lo, hi - lo), dtype=complex)
-        for mode, cols, parents, roots in fk._sym_power_layout(n):
+        for mode in range(fk.modes):
+            cols = np.flatnonzero(last[lo:hi] == mode)
             block[:, cols] = transformed[mode][lo:hi, prev_lo:lo] \
-                @ blocks[-1][:, parents] / roots
+                @ blocks[-1][:, parents[lo + cols] - prev_lo] / roots[lo + cols]
         blocks.append(block)
     return blocks
-
-
-def _sym_power_csr(fk: TruncatedFock, r: np.ndarray):
-    """CSR matrix of the symmetric-power action of an m x m mode-space
-    matrix on every sector up to the cutoff, for callers that need the whole
-    operator; :func:`_sym_power_apply` applies it to vectors."""
-    from scipy.sparse import block_diag
-
-    return block_diag(_sym_power_blocks(fk, r, fk.cutoff), format="csr")
 
 
 def _sym_power_apply(fk: TruncatedFock, r: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -355,7 +352,7 @@ def _sym_power_apply(fk: TruncatedFock, r: np.ndarray, x: np.ndarray) -> np.ndar
     Gamma(r) conserves particle number, so only the blocks up to the top
     sector of x's exactly nonzero rows are built; the rows above it are
     exactly zero.  Each block acts as CSR, so the result is bitwise equal to
-    ``_sym_power_csr(fk, r) @ x``.
+    ``second_quantize_unitary(fk, r) @ x``.
     """
     from scipy.sparse import csr_matrix
 
@@ -373,8 +370,12 @@ def _sym_power_apply(fk: TruncatedFock, r: np.ndarray, x: np.ndarray) -> np.ndar
 
 
 def second_quantize_unitary(fk: TruncatedFock, r: np.ndarray) -> FockOperator:
-    """Symmetric-power action Gamma(r) of an m x m mode-space matrix."""
-    return FockOperator(_sym_power_csr(fk, r))
+    """Symmetric-power action Gamma(r) of an m x m mode-space matrix on every
+    sector up to the cutoff, stored as CSR; :func:`_sym_power_apply` applies
+    it to vectors without building it whole."""
+    from scipy.sparse import block_diag
+
+    return FockOperator(block_diag(_sym_power_blocks(fk, r, fk.cutoff), format="csr"))
 
 
 def occupation_conjugation(fk: TruncatedFock) -> FockOperator:
@@ -401,47 +402,27 @@ def factorization_check(fk: TruncatedFock, group1, group2, samples,
     rng = np.random.default_rng(0) if rng is None else rng
     fk1 = TruncatedFock(fk.form, fk.cutoff, fk.mode_basis[:, group1])
     fk2 = TruncatedFock(fk.form, fk.cutoff, fk.mode_basis[:, group2])
-    res_full = 0.0
-    res_parity = 0.0
+    # joint occupation i is occupation i1[i] on group1 and i2[i] on group2
+    i1 = _occupation_rank(fk.occ[:, group1])
+    i2 = _occupation_rank(fk.occ[:, group2])
+    res_full = res_parity = 0.0
     for u1c, u2c in samples if not isinstance(samples, int) else _coef_samples(
         rng, samples, len(group1), len(group2)
     ):
-        u = fk.mode_basis[:, group1] @ np.asarray(u1c, complex) + \
-            fk.mode_basis[:, group2] @ np.asarray(u2c, complex)
-        e_joint = exponential_vector(fk, u)
-        e1 = exponential_vector(fk1, fk1.mode_basis @ np.asarray(u1c, complex))
-        e2 = exponential_vector(fk2, fk2.mode_basis @ np.asarray(u2c, complex))
-        res_full = max(res_full, _tensor_residual(fk, fk1, fk2, group1, group2,
-                                                  e_joint, e1, e2, None))
-        for par, (p1, p2) in (("even", ("even", "even")), ("odd", ("even", "odd"))):
-            e_par = exponential_vector(fk, u, parity=par)
-            ea1 = exponential_vector(fk1, fk1.mode_basis @ np.asarray(u1c, complex), parity=p1)
-            ea2 = exponential_vector(fk2, fk2.mode_basis @ np.asarray(u2c, complex), parity=p2)
-            eb1 = exponential_vector(fk1, fk1.mode_basis @ np.asarray(u1c, complex), parity="odd")
-            eb2 = exponential_vector(fk2, fk2.mode_basis @ np.asarray(u2c, complex),
-                                     parity="odd" if par == "even" else "even")
-            res_parity = max(
-                res_parity,
-                _tensor_residual(fk, fk1, fk2, group1, group2, e_par,
-                                 ea1, ea2, (eb1, eb2)),
-            )
-    return {"max_residual": res_full, "max_parity_residual": res_parity}
+        u1 = fk1.mode_basis @ np.asarray(u1c, complex)
+        u2 = fk2.mode_basis @ np.asarray(u2c, complex)
+        even1, odd1 = (exponential_vector(fk1, u1, p)[i1] for p in ("even", "odd"))
+        even2, odd2 = (exponential_vector(fk2, u2, p)[i2] for p in ("even", "odd"))
+        full, even, odd = (exponential_vector(fk, u1 + u2, p)
+                           for p in ("full", "even", "odd"))
+        res_full = max(res_full, np.abs(full - (even1 + odd1) * (even2 + odd2)).max())
+        res_parity = max(res_parity,
+                         np.abs(even - (even1 * even2 + odd1 * odd2)).max(),
+                         np.abs(odd - (even1 * odd2 + odd1 * even2)).max())
+    return {"max_residual": float(res_full), "max_parity_residual": float(res_parity)}
 
 
 def _coef_samples(rng, n, m1, m2):
     for _ in range(n):
         yield (rng.normal(size=m1) * 0.4 + 1j * rng.normal(size=m1) * 0.4,
                rng.normal(size=m2) * 0.4 + 1j * rng.normal(size=m2) * 0.4)
-
-
-def _tensor_residual(fk, fk1, fk2, group1, group2, e_joint, e1, e2, extra):
-    """Compare e_joint against the (sum of) tensor products on the joint basis."""
-    res = 0.0
-    for i, occ in enumerate(fk.occupations):
-        occ1 = tuple(occ[g] for g in group1)
-        occ2 = tuple(occ[g] for g in group2)
-        val = e1[fk1.index[occ1]] * e2[fk2.index[occ2]]
-        if extra is not None:
-            val += extra[0][fk1.index[occ1]] * extra[1][fk2.index[occ2]]
-        res = max(res, abs(e_joint[i] - val))
-    return res

@@ -12,7 +12,7 @@ Delta^z and J conserve particle number, and the residual suite applies them
 only to vectors in sectors <= 2, so ``ModularData`` applies them through
 ``fock._sym_power_apply``, which builds blocks only up to the operand's top
 sector.  The whole operators (``delta_power``, ``conjugation``) are built
-through ``fock._sym_power_csr`` on request.
+through ``fock.second_quantize_unitary`` on request.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .fock import (
     FockOperator,
     TruncatedFock,
     _sym_power_apply,
-    _sym_power_csr,
     second_quantize_unitary,
 )
 from .quasifree import DoubledSpace, QuasifreeForm
@@ -36,7 +35,6 @@ __all__ = [
     "ModularData",
     "one_particle_modular",
     "modular_generator",
-    "modular_conjugation",
     "build_modular",
     "delta_power",
     "tomita_residual",
@@ -115,13 +113,6 @@ def _conjugation_mode(dd: DoubledSpace, fk: TruncatedFock) -> np.ndarray:
     return j_mode
 
 
-def modular_conjugation(dd: DoubledSpace, fk: TruncatedFock) -> FockOperator:
-    """Antilinear conjugation: copy swap composed with Gamma, quantized
-    antilinearly as the symmetric-power lift of the validated mode matrix."""
-    return FockOperator(_sym_power_csr(fk, _conjugation_mode(dd, fk)),
-                        antilinear=True)
-
-
 @dataclass(frozen=True)
 class ModularData:
     """Modular data on the doubling: the m x m Hermitian ``mode_hamiltonian``
@@ -142,7 +133,8 @@ class ModularData:
     @cached_property
     def conjugation(self) -> FockOperator:
         """J as a whole antilinear operator, assembled on first use."""
-        return FockOperator(_sym_power_csr(self.fock, self.j_mode), antilinear=True)
+        gamma = second_quantize_unitary(self.fock, self.j_mode)
+        return FockOperator(gamma._op, antilinear=True)
 
     @cached_property
     def _h_eigh(self):

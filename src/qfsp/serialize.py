@@ -69,9 +69,12 @@ def encode_phase_space(ps: PhaseSpace) -> dict:
 def decode_phase_space(data) -> PhaseSpace:
     if not isinstance(data, dict) or not {"dim", "G", "C"} <= set(data):
         raise ParseError("phase space object needs keys dim, G, C")
+    dim = data["dim"]
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
+        raise ParseError(f"dim must be an integer; got {dim!r}")
     g = decode_complex_matrix(data["G"])
     c = decode_complex_matrix(data["C"])
-    if g.shape[0] != int(data["dim"]):
+    if g.shape[0] != dim:
         raise ParseError("declared dim does not match matrix size")
     return PhaseSpace(g, c)
 

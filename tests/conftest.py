@@ -1,3 +1,5 @@
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,23 @@ def pos1():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+def occupation_tuples(modes: int, cutoff: int) -> list:
+    """All tuples with nonnegative entries and total <= cutoff, ordered by
+    total then lexicographically; index 0 is the vacuum.  The oracle of the
+    order of ``TruncatedFock.occ``."""
+    out = []
+    for total in range(cutoff + 1):
+        for slots in combinations_with_replacement(range(modes), total):
+            occ = [0] * modes
+            for s in slots:
+                occ[s] += 1
+            out.append(tuple(occ))
+    # combinations_with_replacement gives a deterministic but non-lex order
+    # within a sector; sort for a stable, documented layout
+    out.sort(key=lambda occ: (sum(occ), occ))
+    return out
 
 
 def squeeze(r: float) -> np.ndarray:

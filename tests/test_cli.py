@@ -104,6 +104,34 @@ def test_moments_rejects_malformed_vector(tmp_path, diag1, capsys, bad, message)
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["dim-string", "dim-float", "no-sigma-prime",
+                                  "block-not-object"])
+def test_malformed_input_is_a_parse_error(tmp_path, diag1, capsys, case):
+    space = encode_phase_space(diag1)
+    block = {"space": space,
+             "Sigma": encode_form(thermal_form(diag1, 0.5))["Sigma"],
+             "Sigma_prime": encode_form(thermal_form(diag1, 0.7))["Sigma"]}
+
+    def family(blocks):
+        return {"generator": {"kind": "explicit", "blocks": blocks}, "n_max": 2}
+
+    block_keys = "explicit block 1 needs keys space, Sigma, Sigma_prime"
+    command, document, message = {
+        "dim-string": ("validate", {**space, "dim": "abc"},
+                       "dim must be an integer; got 'abc'"),
+        "dim-float": ("validate", {**space, "dim": 2.7},
+                      "dim must be an integer; got 2.7"),
+        "no-sigma-prime": ("classify", family([block, {"space": space,
+                                                       "Sigma": block["Sigma"]}]),
+                           block_keys),
+        "block-not-object": ("classify", family([block, 5]), block_keys),
+    }[case]
+    path = str(tmp_path / "input.json")
+    dump_json(document, path)
+    assert main([command, path]) == 2
+    assert capsys.readouterr().err == f"parse error: {message}\n"
+
+
 def test_overlap_command(inputs, capsys):
     assert main(["overlap", inputs["fock.json"], inputs["squeeze1.json"],
                  "--cutoff", "40"]) == 0
@@ -208,11 +236,11 @@ def test_gamma_is_applied_by_sector(inputs, tmp_path, monkeypatch):
     import qfsp.modular as modular
 
     whole, tops = [], []
-    csr = fock._sym_power_csr
+    gamma = fock.second_quantize_unitary
     for mod in (fock, impl, modular):
-        if hasattr(mod, "_sym_power_csr"):
-            monkeypatch.setattr(mod, "_sym_power_csr",
-                                lambda *a: whole.append(a) or csr(*a))
+        if hasattr(mod, "second_quantize_unitary"):
+            monkeypatch.setattr(mod, "second_quantize_unitary",
+                                lambda *a: whole.append(a) or gamma(*a))
     blocks = fock._sym_power_blocks
     monkeypatch.setattr(fock, "_sym_power_blocks",
                         lambda *a: tops.append(a[2]) or blocks(*a))

@@ -10,8 +10,9 @@ from qfsp import (
     double,
 )
 from qfsp.fock import (
+    TruncatedFock,
+    _occupation_rank,
     _sym_power_apply,
-    _sym_power_csr,
     build_fock,
     exponential_vector,
     factorization_check,
@@ -22,7 +23,7 @@ from qfsp.fock import (
     weyl,
 )
 from qfsp.quasifree import fock_form, thermal_form
-from conftest import real_vec
+from conftest import occupation_tuples, real_vec
 
 
 def test_build_fock_dimensions_and_ladder(diag1, diag2):
@@ -179,7 +180,7 @@ def test_parity_split_and_number(diag2):
     even, odd = parity_split(fk)
     assert np.allclose(even + odd, np.eye(fk.dim))
     assert even[0, 0] == 1.0  # vacuum is even
-    idx_10 = fk.index[(1, 0)]
+    idx_10 = occupation_tuples(2, 5).index((1, 0))
     assert odd[idx_10, idx_10] == 1.0
     counts = np.bincount(fk.totals, minlength=fk.cutoff + 1)
     expect = sum((-1) ** k * counts[k] for k in range(fk.cutoff + 1))
@@ -231,13 +232,15 @@ def test_second_quantize_unitary_matches_column_recursion(rng):
         fk = build_fock(fock_form(ps), cutoff)
         r = rng.normal(size=(modes, modes)) + 1j * rng.normal(size=(modes, modes))
         raised = [sum(r[j, i] * fk.create(j) for j in range(modes)) for i in range(modes)]
+        occupations = occupation_tuples(modes, cutoff)
+        index = {occ: i for i, occ in enumerate(occupations)}
         want = np.zeros((fk.dim, fk.dim), dtype=complex)
         want[:, 0] = fk.vacuum
-        for k, occ in enumerate(fk.occupations[1:], start=1):
+        for k, occ in enumerate(occupations[1:], start=1):
             mode = max(i for i, n in enumerate(occ) if n > 0)
             prev = list(occ)
             prev[mode] -= 1
-            want[:, k] = raised[mode] @ want[:, fk.index[tuple(prev)]] / np.sqrt(occ[mode])
+            want[:, k] = raised[mode] @ want[:, index[tuple(prev)]] / np.sqrt(occ[mode])
         got = second_quantize_unitary(fk, r).matrix
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -266,15 +269,17 @@ def _sym_power_loop(fk, r):
 
     transformed = [fk._ladder_sum(np.concatenate([r[:, i], np.zeros(fk.modes)]))
                    for i in range(fk.modes)]
+    occupations = occupation_tuples(fk.modes, fk.cutoff)
+    index = {occ: i for i, occ in enumerate(occupations)}
     bounds = np.searchsorted(fk.totals, np.arange(fk.cutoff + 2))
     blocks = [np.ones((1, 1), dtype=complex)]
     for n in range(1, fk.cutoff + 1):
         lo, hi, prev_lo = bounds[n], bounds[n + 1], bounds[n - 1]
         steps = [t[lo:hi, prev_lo:lo] for t in transformed]
         block = np.empty((hi - lo, hi - lo), dtype=complex)
-        for k, occ in enumerate(fk.occupations[lo:hi]):
+        for k, occ in enumerate(occupations[lo:hi]):
             mode = max(i for i, c in enumerate(occ) if c > 0)
-            prev = fk.index[occ[:mode] + (occ[mode] - 1,) + occ[mode + 1:]] - prev_lo
+            prev = index[occ[:mode] + (occ[mode] - 1,) + occ[mode + 1:]] - prev_lo
             block[:, k] = steps[mode] @ blocks[-1][:, prev] / np.sqrt(occ[mode])
         blocks.append(block)
     return block_diag(blocks, format="csr")
@@ -295,7 +300,7 @@ def test_sym_power_apply_matches_whole_operator(shape, k, stacked, seed):
     x = rng.normal(size=size) + 1j * rng.normal(size=size)
     x[rng.random(fk.dim) < 0.3] = 0.0  # the top nonzero row may sit below k
     x[~fk.sector_mask(k)] = 0.0
-    whole = _sym_power_csr(fk, r)
+    whole = second_quantize_unitary(fk, r)._op
     oracle = _sym_power_loop(fk, r)
     assert np.array_equal(whole.indptr, oracle.indptr)
     assert np.array_equal(whole.indices, oracle.indices)
@@ -303,3 +308,77 @@ def test_sym_power_apply_matches_whole_operator(shape, k, stacked, seed):
     got = _sym_power_apply(fk, r, x)
     assert got.tobytes() == (whole @ x).tobytes()
     assert not got[~fk.sector_mask(k)].any()
+
+
+def _table_fock(modes, cutoff):
+    """A TruncatedFock of any cutoff, 0 included, on the Fock vacuum."""
+    form = fock_form(build_standard(modes, Presentation.DIAGONAL))
+    return TruncatedFock(form, cutoff, build_fock(form, 1).mode_basis)
+
+
+def _ladder_layout_loop(fk, occupations):
+    """The CSR layout of the 2m ladders, occupation by occupation (the loop
+    the table lookups replaced)."""
+    index = {occ: i for i, occ in enumerate(occupations)}
+    rows, cols, which, weight = [], [], [], []
+    for i, occ in enumerate(occupations):
+        for mode in range(fk.modes if sum(occ) < fk.cutoff else 0):
+            target = list(occ)
+            target[mode] += 1
+            j = index[tuple(target)]
+            rows += [j, i]
+            cols += [i, j]
+            which += [mode, fk.modes + mode]
+            weight += [np.sqrt(occ[mode] + 1.0)] * 2
+    rows, cols = np.array(rows, dtype=int), np.array(cols, dtype=int)
+    order = np.lexsort((cols, rows))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=fk.dim))])
+    return np.array(which, dtype=int)[order], np.array(weight)[order], cols[order], indptr
+
+
+def _exponential_vector_loop(fk, occupations, u):
+    """exponential_vector as a product per occupation."""
+    from math import factorial
+
+    c = fk.mode_coords(u)
+    out = np.zeros(len(occupations), dtype=complex)
+    for i, occ in enumerate(occupations):
+        coef = 1.0 + 0.0j
+        for ci, ki in zip(c, occ):
+            if ki:
+                coef *= ci ** ki / np.sqrt(float(factorial(ki)))
+        out[i] = coef
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.tuples(st.integers(1, 6), st.integers(0, 8)), st.just((16, 3))),
+       st.integers(0, 2**32 - 1))
+def test_occupation_table_matches_the_tuple_order(shape, seed):
+    """occ is the (total, lexicographic) order and the rank inverts it; the
+    creation table, the ladder layout and the exponential vector read from
+    them equal their per-occupation loops."""
+    modes, cutoff = shape
+    fk = _table_fock(modes, cutoff)
+    occupations = occupation_tuples(modes, cutoff)
+    index = {occ: i for i, occ in enumerate(occupations)}
+    assert fk.occ.tolist() == [list(occ) for occ in occupations]
+    assert np.array_equal(_occupation_rank(fk.occ), np.arange(fk.dim))
+
+    want = np.full((fk.dim, modes), -1)
+    for i, occ in enumerate(occupations):
+        for j in range(modes):
+            want[i, j] = index.get(occ[:j] + (occ[j] + 1,) + occ[j + 1:], -1)
+    assert np.array_equal(fk.creation, want)
+    assert np.array_equal((fk.creation < 0).any(axis=1), fk.totals == cutoff)
+    assert np.array_equal((fk.creation < 0).all(axis=1), fk.totals == cutoff)
+
+    for got, oracle in zip(fk._ladder_layout, _ladder_layout_loop(fk, occupations)):
+        assert got.dtype == oracle.dtype
+        assert got.tobytes() == oracle.tobytes()
+
+    rng = np.random.default_rng(seed)
+    u = fk.mode_basis @ (0.6 * (rng.normal(size=modes) + 1j * rng.normal(size=modes)))
+    want = _exponential_vector_loop(fk, occupations, u)
+    got = exponential_vector(fk, u)
+    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))

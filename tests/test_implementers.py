@@ -386,7 +386,6 @@ def test_metaplectic_apply_moves_once(monkeypatch, tmp_path):
     own polar parts for the moved vacuum, so it makes one move as well."""
     import qfsp.implementers as impl
     from qfsp.cli import main
-    from qfsp.fock import _sym_power_csr
     from qfsp.serialize import dump_json, encode_complex_matrix, encode_form
 
     ps = build_standard(2, Presentation.DIAGONAL)
@@ -395,7 +394,7 @@ def test_metaplectic_apply_moves_once(monkeypatch, tmp_path):
                       @ random_symplectic(ps, np.random.default_rng(8), 0.3))
     x = np.eye(fk.dim, dtype=complex)[:, fk.sector_mask(4)]
     parts = polar(ps, u, fk.form)
-    gamma_r = _sym_power_csr(fk, restricted_rotation(fk, parts.rotation))
+    gamma_r = second_quantize_unitary(fk, restricted_rotation(fk, parts.rotation))
     two_step = implement_T_apply(fk, fk.form, transport_form(fk.form, u.u), gamma_r @ x)
     calls = []
     original = impl.bogoliubov_u
