@@ -487,10 +487,11 @@ def family_from_json(data: dict) -> ModeFamily:
             if not isinstance(entry, dict) or \
                     not {"space", "Sigma", "Sigma_prime"} <= set(entry):
                 raise ParseError(f"explicit block {i} needs keys space, Sigma, Sigma_prime")
-            space_form = decode_form({"space": entry["space"],
-                                      "Sigma": entry["Sigma"]})
-            other = decode_form({"space": entry["space"],
-                                 "Sigma": entry["Sigma_prime"]})
-            decoded.append((space_form, other))
+            try:
+                decoded.append(tuple(decode_form({"space": entry["space"],
+                                                  "Sigma": entry[key]})
+                                     for key in ("Sigma", "Sigma_prime")))
+            except ParseError as exc:
+                raise ParseError(f"explicit block {i}: {exc}") from exc
         return ModeFamily(block=lambda k: decoded[k - 1], n_max=n_max)
     raise ParseError(f"unknown family kind {kind!r}")

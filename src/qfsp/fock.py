@@ -155,6 +155,15 @@ class TruncatedFock:
         indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=self.dim))])
         return which[order], weight[order], cols[order], indptr
 
+    @cached_property
+    def _creation_layout(self):
+        """The creation half of ``_ladder_layout``: (mode, weight, cols,
+        indptr) of sum_i c_i bdag_i, each row's entries in the same order."""
+        which, weight, cols, indptr = self._ladder_layout
+        keep = which < self.modes
+        ends = np.concatenate([[0], np.cumsum(keep)])
+        return which[keep], weight[keep], cols[keep], ends[indptr]
+
     def _ladder_sum(self, coefs: np.ndarray):
         """CSR matrix of sum_i coefs[i] bdag_i + coefs[m + i] b_i."""
         from scipy.sparse import csr_matrix
@@ -325,47 +334,68 @@ def _sym_power_blocks(fk: TruncatedFock, r: np.ndarray, top: int) -> list:
     column of the sector below, taken along its last occupied mode, so one
     sparse product per mode fills all the columns of a sector that share it.
     """
+    from scipy.sparse import csr_matrix
+
     r = np.asarray(r, dtype=complex)
     if r.shape != (fk.modes, fk.modes):
         raise InvalidArgumentError("mode matrix has wrong shape")
     blocks = [np.ones((1, 1), dtype=complex)]
     if top < 1:
         return blocks
-    transformed = [fk._ladder_sum(np.concatenate([r[:, i], np.zeros(fk.modes)]))
-                   for i in range(fk.modes)]
+    # row k of sum_j r_ji bdag_j holds entries only in the columns of the
+    # sector below k, so a sector's rows are read straight from the arrays
+    mode_of, weight, cols, indptr = fk._creation_layout
+    transformed = [r[mode_of, i] * weight for i in range(fk.modes)]
     last, parents, roots = fk._gamma_parents
     bounds = fk._sector_bounds
     for n in range(1, top + 1):
         lo, hi, prev_lo = bounds[n], bounds[n + 1], bounds[n - 1]
+        start, stop = indptr[lo], indptr[hi]
+        below = (cols[start:stop] - prev_lo, indptr[lo:hi + 1] - start)
         block = np.empty((hi - lo, hi - lo), dtype=complex)
-        for mode in range(fk.modes):
-            cols = np.flatnonzero(last[lo:hi] == mode)
-            block[:, cols] = transformed[mode][lo:hi, prev_lo:lo] \
-                @ blocks[-1][:, parents[lo + cols] - prev_lo] / roots[lo + cols]
+        for mode, data in enumerate(transformed):
+            group = np.flatnonzero(last[lo:hi] == mode)
+            step = csr_matrix((data[start:stop], *below), shape=(hi - lo, lo - prev_lo))
+            block[:, group] = step @ blocks[-1][:, parents[lo + group] - prev_lo] \
+                / roots[lo + group]
         blocks.append(block)
     return blocks
+
+
+def _gamma_csr(fk: TruncatedFock, r: np.ndarray, top: int):
+    """Gamma(r) on the sectors 0..top as one CSR, each row's nonzeros in
+    column order: the layout of scipy's ``block_diag`` of the blocks."""
+    from scipy.sparse import csr_matrix
+
+    bounds = fk._sector_bounds
+    data, cols, counts = [], [], []
+    for lo, block in zip(bounds, _sym_power_blocks(fk, r, top)):
+        nonzero = block != 0
+        data.append(block[nonzero])
+        cols.append(np.nonzero(nonzero)[1] + lo)
+        counts.append(nonzero.sum(axis=1))
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    end = bounds[top + 1]
+    return csr_matrix((np.concatenate(data), np.concatenate(cols), indptr),
+                      shape=(end, end))
 
 
 def _sym_power_apply(fk: TruncatedFock, r: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Gamma(r) @ x for a vector or a stack of columns x.
 
     Gamma(r) conserves particle number, so only the blocks up to the top
-    sector of x's exactly nonzero rows are built; the rows above it are
-    exactly zero.  Each block acts as CSR, so the result is bitwise equal to
-    ``second_quantize_unitary(fk, r) @ x``.
+    sector of x's exactly nonzero rows are built, and applied as one CSR
+    product; the rows above it are exactly zero.  The result is bitwise
+    equal to ``second_quantize_unitary(fk, r) @ x``.
     """
-    from scipy.sparse import csr_matrix
-
     x = np.asarray(x, dtype=complex)
     if len(x) != fk.dim:
         raise InvalidArgumentError("operand does not live on this Fock space")
     rows = np.flatnonzero(x.reshape(len(x), -1).any(axis=1))
-    top = int(fk.totals[rows[-1]]) if rows.size else 0
+    gamma = _gamma_csr(fk, r, int(fk.totals[rows[-1]]) if rows.size else 0)
+    end = gamma.shape[0]
     out = np.zeros_like(x)
-    bounds = fk._sector_bounds
-    for n, block in enumerate(_sym_power_blocks(fk, r, top)):
-        sector = slice(bounds[n], bounds[n + 1])
-        out[sector] = csr_matrix(block) @ x[sector]
+    out[:end] = gamma @ x[:end]
     return out
 
 
@@ -373,9 +403,7 @@ def second_quantize_unitary(fk: TruncatedFock, r: np.ndarray) -> FockOperator:
     """Symmetric-power action Gamma(r) of an m x m mode-space matrix on every
     sector up to the cutoff, stored as CSR; :func:`_sym_power_apply` applies
     it to vectors without building it whole."""
-    from scipy.sparse import block_diag
-
-    return FockOperator(block_diag(_sym_power_blocks(fk, r, fk.cutoff), format="csr"))
+    return FockOperator(_gamma_csr(fk, r, fk.cutoff))
 
 
 def occupation_conjugation(fk: TruncatedFock) -> FockOperator:

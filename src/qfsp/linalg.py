@@ -6,7 +6,11 @@ inner product, the phase-space form ``G`` for symplectic adjoints).  All
 spectral computations on a metric-self-adjoint matrix go through a congruence
 with the Cholesky factor of the metric, which turns the problem into an
 ordinary hermitian one.  ``expm_apply`` applies the exponential of a
-sparse matrix to a block of vectors without forming it.
+sparse matrix to a block of vectors without forming it.  One Taylor term
+costs one CSR product, an in-place scaling and add, and one inf-norm of the
+term; the norm of the running sum is taken only when a running bound says
+the stop test could pass.  The results are bitwise those of the plain loop
+that allocates every term and takes both norms on every term.
 """
 
 from __future__ import annotations
@@ -38,6 +42,10 @@ ORTHONORMAL_DROP_TOL = 1e-10
 # a degree-m Taylor polynomial reach unit roundoff once ||A||_1 <= s theta_m
 _TAYLOR_THETA = {10: 0.144, 15: 0.641, 20: 1.44, 25: 2.43, 30: 3.54,
                 35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9}
+# relative widening of expm_apply's running bound on ||out||_inf: the bound
+# must not fall below the computed norm, whose rounding is a relative
+# (terms + row length) * 2^-53 at most, far below this
+_NORM_BOUND_SLACK = 1.0 + 1e-8
 
 
 def adjoint(a: np.ndarray, metric: np.ndarray) -> np.ndarray:
@@ -211,6 +219,15 @@ def expm_apply(a, x: np.ndarray) -> np.ndarray:
     from the exact 1-norm of ``a`` only: ``expm_multiply`` refines them with
     randomized estimates drawn from numpy's global random state, so its last
     bits can change from run to run.
+
+    One Taylor term is one CSR product plus in-place work on it: the term is
+    scaled on its float view by 1 / (steps j), which is bitwise what numpy's
+    complex division by that real does (it multiplies by the reciprocal),
+    and added into a private copy of ``x`` in C order.  The exact ``||out||_inf`` of the
+    stop test is computed only when the running bound ||out_0|| + sum
+    ||term_i|| (widened by ``_NORM_BOUND_SLACK`` for rounding) says the test
+    could pass, so every result is bitwise the same as with the norm taken
+    on every term.  ``x`` is never written to.
     """
     from scipy.sparse import identity
 
@@ -221,13 +238,21 @@ def expm_apply(a, x: np.ndarray) -> np.ndarray:
     degree, steps = min(((m, max(1, int(np.ceil(norm / theta))))
                          for m, theta in _TAYLOR_THETA.items()),
                         key=lambda ms: ms[0] * ms[1])
+    tiny = 2.0 ** -53
     for _ in range(steps):
         term, prev = out, np.linalg.norm(out, np.inf)
+        # a private copy in C order, the layout out + term always had: the
+        # row sums of an inf-norm round differently on an F-order operand
+        out, bound = np.array(out, order="C"), prev
         for j in range(1, degree + 1):
-            term = (a @ term) / (steps * j)
+            term = a @ term
+            scaled = term.view(float)
+            scaled *= 1.0 / (steps * j)
             size = np.linalg.norm(term, np.inf)
-            out = out + term
-            if prev + size <= 2.0 ** -53 * np.linalg.norm(out, np.inf):
+            out += term
+            bound += size
+            if prev + size <= tiny * _NORM_BOUND_SLACK * bound and \
+                    prev + size <= tiny * np.linalg.norm(out, np.inf):
                 break
             prev = size
         out = np.exp(mu / steps) * out

@@ -26,7 +26,7 @@ __all__ = [
 
 def encode_complex_matrix(m: np.ndarray) -> list:
     m = np.asarray(m, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
+    return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
 def decode_complex_matrix(data) -> np.ndarray:
@@ -45,7 +45,7 @@ def decode_complex_matrix(data) -> np.ndarray:
 
 def encode_complex_vector(v: np.ndarray) -> list:
     v = np.asarray(v, dtype=complex)
-    return [[float(x.real), float(x.imag)] for x in v]
+    return np.stack([v.real, v.imag], axis=-1).tolist()
 
 
 def decode_complex_vector(data) -> np.ndarray:

@@ -77,3 +77,38 @@ def implementer(fk, h):
 
     return FockOperator(expm_apply(1j * _quantize_csr(fk, h),
                                    np.eye(fk.dim, dtype=complex)))
+
+
+def expm_apply_reference(a, x):
+    """``linalg.expm_apply`` as first written: a new array for every term,
+    complex division by steps * j, and the exact ``||out||_inf`` on every
+    term.  The bitwise oracle of the in-place loop."""
+    from scipy.sparse import identity
+    from qfsp.linalg import _TAYLOR_THETA
+
+    out = np.asarray(x, dtype=complex)
+    mu = a.diagonal().mean()
+    a = a - mu * identity(a.shape[0], format="csr")
+    norm = abs(a).sum(axis=0).max()
+    degree, steps = min(((m, max(1, int(np.ceil(norm / theta))))
+                         for m, theta in _TAYLOR_THETA.items()),
+                        key=lambda ms: ms[0] * ms[1])
+    for _ in range(steps):
+        term, prev = out, np.linalg.norm(out, np.inf)
+        for j in range(1, degree + 1):
+            term = (a @ term) / (steps * j)
+            size = np.linalg.norm(term, np.inf)
+            out = out + term
+            if prev + size <= 2.0 ** -53 * np.linalg.norm(out, np.inf):
+                break
+            prev = size
+        out = np.exp(mu / steps) * out
+    return out
+
+
+def sym_power_apply_reference(fk, r, x):
+    """Gamma(r) @ x through the whole operator on every sector, the bitwise
+    oracle of the sector-limited ``fock._sym_power_apply``."""
+    from qfsp.fock import second_quantize_unitary
+
+    return second_quantize_unitary(fk, r).apply(np.asarray(x, dtype=complex))

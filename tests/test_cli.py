@@ -20,7 +20,7 @@ from qfsp.serialize import (
     encode_form,
     encode_phase_space,
 )
-from conftest import squeeze
+from conftest import expm_apply_reference, squeeze, sym_power_apply_reference
 
 
 @pytest.fixture
@@ -105,7 +105,7 @@ def test_moments_rejects_malformed_vector(tmp_path, diag1, capsys, bad, message)
 
 
 @pytest.mark.parametrize("case", ["dim-string", "dim-float", "no-sigma-prime",
-                                  "block-not-object"])
+                                  "block-not-object", "block-matrix-not-square"])
 def test_malformed_input_is_a_parse_error(tmp_path, diag1, capsys, case):
     space = encode_phase_space(diag1)
     block = {"space": space,
@@ -125,11 +125,42 @@ def test_malformed_input_is_a_parse_error(tmp_path, diag1, capsys, case):
                                                        "Sigma": block["Sigma"]}]),
                            block_keys),
         "block-not-object": ("classify", family([block, 5]), block_keys),
+        "block-matrix-not-square": (
+            "classify", family([block, {**block, "Sigma_prime": [[1, 2]]}]),
+            "explicit block 1: complex matrix must be square with [re, im] "
+            "entries; got shape (1, 2)"),
     }[case]
     path = str(tmp_path / "input.json")
     dump_json(document, path)
     assert main([command, path]) == 2
     assert capsys.readouterr().err == f"parse error: {message}\n"
+
+
+def test_reports_match_the_reference_fock_primitives(inputs, tmp_path, diag2,
+                                                    monkeypatch, capsys):
+    """With the first-written expm_apply loop and the whole-operator Gamma(R)
+    in place of the library's, the reports are byte-identical."""
+    thermal2 = str(tmp_path / "thermal2.json")
+    dump_json(encode_form(thermal_form(diag2, [0.3, 0.7])), thermal2)
+    calls = [["implement", inputs["squeeze1.json"], inputs["fock.json"],
+              "--cutoff", "40", "--bruteforce"],
+             ["overlap", inputs["fock.json"], inputs["squeeze1.json"], "--cutoff", "40"],
+             ["modular", thermal2, "--cutoff", "8"]]
+
+    def reports():
+        out = []
+        for k, argv in enumerate(calls):
+            path = tmp_path / f"report-{k}.json"
+            assert main(argv + ["--out", str(path)]) == 0
+            out.append((path.read_bytes(), capsys.readouterr()))
+        return out
+
+    library = reports()
+    for module in (qfsp.implementers, qfsp.fock):
+        monkeypatch.setattr(module, "expm_apply", expm_apply_reference)
+    for module in (qfsp.implementers, qfsp.modular):
+        monkeypatch.setattr(module, "_sym_power_apply", sym_power_apply_reference)
+    assert reports() == library
 
 
 def test_overlap_command(inputs, capsys):

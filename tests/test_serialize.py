@@ -1,5 +1,8 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qfsp import Presentation, build_standard
 from qfsp.errors import ParseError
@@ -26,6 +29,30 @@ def test_matrix_round_trip(rng):
 def test_vector_round_trip(rng):
     v = rng.normal(size=5) + 1j * rng.normal(size=5)
     assert np.allclose(decode_complex_vector(encode_complex_vector(v)), v)
+
+
+# signed zeros, the smallest subnormal, the largest finite double and the
+# infinities, next to ordinary values
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.7976931348623157e308,
+                -1.7976931348623157e308, float("inf"), -float("inf"), 1.0, -0.1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6),
+       st.lists(st.one_of(st.sampled_from(_EDGE_FLOATS),
+                          st.floats(allow_nan=False)), min_size=72, max_size=72))
+def test_complex_encoders_match_the_element_loop(rows, cols, values):
+    """The vectorized encoders give the lists (and the dumped bytes) of the
+    per-element loop they replace."""
+    re, im = np.reshape(values, (2, 36))[:, :rows * cols].reshape(2, rows, cols)
+    m = np.empty((rows, cols), dtype=complex)
+    m.real, m.imag = re, im  # re + 1j * im would turn 0 * inf into nan
+    loop_m = [[[float(v.real), float(v.imag)] for v in row] for row in m]
+    loop_v = [[float(x.real), float(x.imag)] for x in m[0]]
+    for got, want in ((encode_complex_matrix(m), loop_m),
+                      (encode_complex_vector(m[0]), loop_v)):
+        assert json.dumps(got) == json.dumps(want)  # repr keeps every bit and sign
+        assert {type(x) for x in np.ravel(np.array(got, dtype=object))} == {float}
 
 
 def test_phase_space_round_trip():
