@@ -11,6 +11,7 @@ documented heuristic with Inconclusive as a first-class outcome.
 from __future__ import annotations
 
 import ast
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -161,11 +162,20 @@ class FamilyConfig:
     fit_residual_max: float = 0.5
 
     @classmethod
-    def from_dict(cls, data: dict) -> "FamilyConfig":
+    def from_dict(cls, data) -> "FamilyConfig":
+        """Thresholds from a JSON object of finite real numbers."""
+        if not isinstance(data, dict):
+            raise ParseError("thresholds must be a JSON object")
         known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore
         bad = set(data) - set(known)
         if bad:
             raise ParseError(f"unknown threshold keys: {sorted(bad)}")
+        for key, value in data.items():
+            # a NaN fails the comparison; a huge int exceeds the float range
+            if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                    or not abs(value) <= sys.float_info.max:
+                raise ParseError(f"threshold {key} must be a finite number; "
+                                 f"got {value!r}")
         return cls(**data)
 
 
@@ -194,9 +204,6 @@ class ModeFamily:
 class Verdict:
     outcome: str  # Equivalent | Inequivalent | Inconclusive
     evidence: dict
-
-    def exit_code(self) -> int:
-        return {"Equivalent": 0, "Inequivalent": 3, "Inconclusive": 4}[self.outcome]
 
 
 def _loglog_slope(xs: np.ndarray, ys: np.ndarray):

@@ -5,9 +5,11 @@ Structured output is JSON with complex numbers as [re, im]; per-mode series
 go to CSV.  Exit codes: 0 pass/equivalent, 1 math-invalid, 2 parse,
 3 inequivalent, 4 inconclusive, 5 insufficient cutoff.
 
-Each command accepts only the options it reads (see ``build_parser``); any
-other option is a usage error with exit code 2.  ``RunConfig`` holds every
-default and checks every value.
+Each command is declared once, in ``build_parser``, with the options it
+reads and its positionals; any other option is a usage error with exit code
+2.  ``RunConfig`` holds every default and checks every value.  A command
+returns its report and exit code and prints nothing; ``main`` alone writes
+the report, to stdout or to ``--out``.
 
 Reports are byte-deterministic for a fixed (inputs, config, seed).
 `classify` evaluates all blocks of a thermal_pair family in one batched
@@ -69,9 +71,12 @@ EXIT_INEQUIVALENT = 3
 EXIT_INCONCLUSIVE = 4
 EXIT_CUTOFF = 5
 
-MODULAR_MIN_CUTOFF = 8
+# implement and modular check low sectors that need room below the cutoff
+CHECK_MIN_CUTOFF = 8
 # sectors within this many particles of the cutoff count as truncation tail
 TAIL_MARGIN = 4
+# above this truncation tail mass a Fock result needs a larger cutoff
+TAIL_MASS_MAX = 1e-3
 # entry scale of the random Hamiltonians behind the cocycle samples
 SAMPLE_SCALE = 0.4
 
@@ -90,22 +95,18 @@ class RunConfig:
     def __post_init__(self):
         if self.tol <= 0:
             raise ParseError("tolerance must be positive")
+        if not np.isfinite(self.tol):
+            raise ParseError("tolerance must be finite")
         if self.cutoff < 4:
             raise ParseError("cutoff must be at least 4 for Fock-level commands")
         if self.threads < 1:  # validated, but no command reads it
             raise ParseError("threads must be at least 1")
 
 
-def _emit(report: dict, config: RunConfig) -> None:
-    text = dump_json(report, config.out)
-    if config.out is None:
-        sys.stdout.write(text + "\n")
-
-
-def cmd_validate(paths, config: RunConfig) -> int:
+def cmd_validate(args, config: RunConfig) -> tuple[dict, int]:
     reports = []
     any_invalid = False
-    for path in paths:
+    for path in args.paths:
         data = load_json(path)
         if isinstance(data, dict) and "Sigma" in data:
             form = decode_form(data)
@@ -127,14 +128,15 @@ def cmd_validate(paths, config: RunConfig) -> int:
             "residuals": {k: float(v) for k, v in sorted(rep.residuals.items())},
         })
         any_invalid = any_invalid or not rep.valid
-    _emit({"reports": reports}, config)
-    return EXIT_INVALID if any_invalid else EXIT_OK
+    return {"reports": reports}, EXIT_INVALID if any_invalid else EXIT_OK
 
 
-def cmd_moments(path, config: RunConfig) -> int:
-    data = load_json(path)
+def cmd_moments(args, config: RunConfig) -> tuple[dict, int]:
+    data = load_json(args.input)
     if not isinstance(data, dict) or "form" not in data or "vectors" not in data:
         raise ParseError("moments input needs keys 'form' and 'vectors'")
+    if not isinstance(data["vectors"], list):
+        raise ParseError("'vectors' must be a list of vectors")
     form = decode_form(data["form"])
     vectors = [decode_complex_vector(v) for v in data["vectors"]]
     for k, v in enumerate(vectors):
@@ -157,10 +159,9 @@ def cmd_moments(path, config: RunConfig) -> int:
         oracle = _moment_bruteforce(form, vectors)
         report["bruteforce"] = [oracle.real, oracle.imag]
         report["difference"] = abs(value - oracle)
-    _emit(report, config)
     if config.bruteforce and report["difference"] > config.tol * max(1.0, abs(value)):
-        return EXIT_INVALID
-    return EXIT_OK
+        return report, EXIT_INVALID
+    return report, EXIT_OK
 
 
 def _moment_bruteforce(form: QuasifreeForm, vectors) -> complex:
@@ -179,21 +180,24 @@ def _squeezing_tail_mass(fk, vec) -> float:
     return float(np.linalg.norm(vec[mask]) ** 2)
 
 
-def _load_projection_and_map(command: str, p_path, u_path, config: RunConfig):
+def _load_projection_and_map(args, config: RunConfig):
     """The basis-projection form and symplectic matrix of overlap/implement."""
-    form = decode_form(load_json(p_path))
-    u_mat = decode_complex_matrix(load_json(u_path))
+    form = decode_form(load_json(args.projection))
+    u_mat = decode_complex_matrix(load_json(args.symplectic))
+    if len(u_mat) != form.space.dim:
+        raise ParseError(f"symplectic matrix is {len(u_mat)}x{len(u_mat)}, "
+                         f"the space has dimension {form.space.dim}")
     rep = validate_form(form)
     if not rep.valid or rep.classification != "BasisProjection":
-        raise QfspError(f"{command} needs a valid basis-projection form")
+        raise QfspError(f"{args.command} needs a valid basis-projection form")
     urep = validate_symplectic(form.space, u_mat, tol=max(config.tol, 1e-9))
     if not urep.valid:
         raise QfspError(f"matrix is not symplectic: {urep.residuals}")
     return form, u_mat
 
 
-def cmd_overlap(p_path, u_path, config: RunConfig) -> int:
-    form, u_mat = _load_projection_and_map("overlap", p_path, u_path, config)
+def cmd_overlap(args, config: RunConfig) -> tuple[dict, int]:
+    form, u_mat = _load_projection_and_map(args, config)
     other = transport_form(form, u_mat)
     th = theta(form, other)
     th_vals = np.linalg.eigvalsh(form.calculus.to_hermitian(th))
@@ -210,10 +214,9 @@ def cmd_overlap(p_path, u_path, config: RunConfig) -> int:
         "cutoff": config.cutoff,
         "truncation_tail_mass": tail,
     }
-    _emit(report, config)
-    if tail > 1e-3:
-        return EXIT_CUTOFF
-    return EXIT_OK if report["difference"] <= config.tol else EXIT_INVALID
+    if tail > TAIL_MASS_MAX:
+        return report, EXIT_CUTOFF
+    return report, EXIT_OK if report["difference"] <= config.tol else EXIT_INVALID
 
 
 def _real_symplectic_sample(fk, rng) -> SymplecticMap:
@@ -233,10 +236,10 @@ def _real_symplectic_sample(fk, rng) -> SymplecticMap:
     return SymplecticMap(sla.expm(1j * h_imag.op).real.astype(complex))
 
 
-def cmd_implement(u_path, p_path, config: RunConfig) -> int:
-    form, u_mat = _load_projection_and_map("implement", p_path, u_path, config)
-    if config.cutoff < MODULAR_MIN_CUTOFF:
-        raise TruncationError("implement needs --cutoff >= 8")
+def cmd_implement(args, config: RunConfig) -> tuple[dict, int]:
+    form, u_mat = _load_projection_and_map(args, config)
+    if config.cutoff < CHECK_MIN_CUTOFF:
+        raise TruncationError(f"implement needs --cutoff >= {CHECK_MIN_CUTOFF}")
     u = SymplecticMap(u_mat)
     ps = form.space
     parts = polar(ps, u, form)
@@ -272,17 +275,15 @@ def cmd_implement(u_path, p_path, config: RunConfig) -> int:
         "cocycle_checks": cocycles,
         "cutoff": config.cutoff,
     }
-    _emit(report, config)
-    tail = _squeezing_tail_mass(fk, psi)
-    if tail > 1e-3:
-        return EXIT_CUTOFF
+    if _squeezing_tail_mass(fk, psi) > TAIL_MASS_MAX:
+        return report, EXIT_CUTOFF
     ok = report["continuity_ok"] and recompose <= 1e-8 and commute <= 1e-8
     ok = ok and all(abs(c["raw"][1]) <= 1e-4 for c in cocycles)
-    return EXIT_OK if ok else EXIT_INVALID
+    return report, EXIT_OK if ok else EXIT_INVALID
 
 
-def cmd_classify(family_path, config: RunConfig) -> int:
-    data = load_json(family_path)
+def cmd_classify(args, config: RunConfig) -> tuple[dict, int]:
+    data = load_json(args.family)
     if config.n_max is not None:
         data = dict(data)
         data["n_max"] = config.n_max
@@ -293,8 +294,7 @@ def cmd_classify(family_path, config: RunConfig) -> int:
     try:
         verdict = classify_family(family, thresholds)
     except QfspError as exc:
-        _emit({"error": str(exc)}, config)
-        return EXIT_INVALID
+        return {"error": str(exc)}, EXIT_INVALID
     ev = verdict.evidence
     report = {
         "outcome": verdict.outcome,
@@ -307,7 +307,6 @@ def cmd_classify(family_path, config: RunConfig) -> int:
         "beta_sup": ev["beta_sup"],
         "thresholds": ev["thresholds"],
     }
-    _emit(report, config)
     if config.out:
         csv_path = (config.out[:-5] if config.out.endswith(".json")
                     else config.out) + ".csv"
@@ -316,18 +315,17 @@ def cmd_classify(family_path, config: RunConfig) -> int:
         with open(csv_path, "w", encoding="utf-8") as fh:
             fh.write("k,t_k,partial_sum,alpha_k,beta_k\n")
             fh.writelines(f"{k},{t!r},{p!r},{a!r},{b!r}\n" for k, t, p, a, b in rows)
-    return verdict.exit_code()
+    return report, {"Equivalent": EXIT_OK, "Inequivalent": EXIT_INEQUIVALENT,
+                    "Inconclusive": EXIT_INCONCLUSIVE}[verdict.outcome]
 
 
-def cmd_modular(s_path, config: RunConfig) -> int:
-    form = decode_form(load_json(s_path))
+def cmd_modular(args, config: RunConfig) -> tuple[dict, int]:
+    form = decode_form(load_json(args.form))
     rep = validate_form(form)
     if not rep.valid:
         raise QfspError("modular needs a valid quasifree form")
-    if config.cutoff < MODULAR_MIN_CUTOFF:
-        raise TruncationError(
-            f"modular needs --cutoff >= {MODULAR_MIN_CUTOFF}"
-        )
+    if config.cutoff < CHECK_MIN_CUTOFF:
+        raise TruncationError(f"modular needs --cutoff >= {CHECK_MIN_CUTOFF}")
     dd = double(form)
     fk = build_fock(dd.hat_form, config.cutoff)
     md = build_modular(dd, fk)
@@ -345,11 +343,10 @@ def cmd_modular(s_path, config: RunConfig) -> int:
         bf = field_operator(fk, dd.embed(f))
         bg = field_operator(fk, dd.embed(g))
         a = bf @ bg
-        gf = form.space.conjugate(f)
-        gg = form.space.conjugate(g)
-        a_star = field_operator(fk, dd.embed(gg)) @ field_operator(fk, dd.embed(gf))
+        b_gf = field_operator(fk, dd.embed(form.space.conjugate(f)))
+        a_star = field_operator(fk, dd.embed(form.space.conjugate(g))) @ b_gf
         tomita.append(tomita_residual(md, a, a_star))
-        kms.append(kms_residual(md, field_operator(fk, dd.embed(gf)), bf))
+        kms.append(kms_residual(md, b_gf, bf))
     delta_fix = float(np.linalg.norm(md.delta_power_apply(1j * 0.7, fk.vacuum)
                                      - fk.vacuum))
     report = {
@@ -360,10 +357,9 @@ def cmd_modular(s_path, config: RunConfig) -> int:
         "scaled_tolerance": scaled_tol,
         "cutoff": config.cutoff,
     }
-    _emit(report, config)
     ok = all(v <= scaled_tol for v in tomita) and \
         all(v <= scaled_tol for v in kms) and delta_fix <= scaled_tol
-    return EXIT_OK if ok else EXIT_INVALID
+    return report, EXIT_OK if ok else EXIT_INVALID
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -394,37 +390,35 @@ def build_parser() -> argparse.ArgumentParser:
                               "thread, so the value changes no report"},
     }
 
-    def command(name, help_text, *flags):
+    # each command once: handler, help, the options it reads, positionals
+    commands = {
+        "validate": (cmd_validate, "validate phase space / form files",
+                     ("--tol", "--out"), {"paths": {"nargs": "+"}}),
+        "moments": (cmd_moments, "quasifree n-point function",
+                    ("--tol", "--out", "--bruteforce"),
+                    {"input": {"help": "JSON with keys 'form' and 'vectors'"}}),
+        "overlap": (cmd_overlap, "vacuum overlap determinant vs Fock",
+                    ("--cutoff", "--tol", "--out"),
+                    {"projection": {"help": "basis-projection form JSON"},
+                     "symplectic": {"help": "symplectic matrix JSON"}}),
+        "implement": (cmd_implement, "polar parts, metaplectic checks",
+                      ("--cutoff", "--tol", "--seed", "--out", "--bruteforce"),
+                      {"symplectic": {"help": "symplectic matrix JSON"},
+                       "projection": {"help": "basis-projection form JSON"}}),
+        "classify": (cmd_classify, "mode-family quasi-equivalence verdict",
+                     ("--out", "--n-max", "--thresholds", "--threads"),
+                     {"family": {"help": "family description JSON"}}),
+        "modular": (cmd_modular, "modular residual suite",
+                    ("--cutoff", "--tol", "--seed", "--out"),
+                    {"form": {"help": "quasifree form JSON"}}),
+    }
+    for name, (run, help_text, flags, positionals) in commands.items():
         p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         for flag in flags:
             p.add_argument(flag, **options[flag])
-        return p
-
-    p = command("validate", "validate phase space / form files", "--tol", "--out")
-    p.add_argument("paths", nargs="+")
-
-    p = command("moments", "quasifree n-point function",
-                "--tol", "--out", "--bruteforce")
-    p.add_argument("input", help="JSON with keys 'form' and 'vectors'")
-
-    p = command("overlap", "vacuum overlap determinant vs Fock",
-                "--cutoff", "--tol", "--out")
-    p.add_argument("projection", help="basis-projection form JSON")
-    p.add_argument("symplectic", help="symplectic matrix JSON")
-
-    p = command("implement", "polar parts, metaplectic checks",
-                "--cutoff", "--tol", "--seed", "--out", "--bruteforce")
-    p.add_argument("symplectic", help="symplectic matrix JSON")
-    p.add_argument("projection", help="basis-projection form JSON")
-
-    p = command("classify", "mode-family quasi-equivalence verdict",
-                "--out", "--n-max", "--thresholds", "--threads")
-    p.add_argument("family", help="family description JSON")
-
-    p = command("modular", "modular residual suite",
-                "--cutoff", "--tol", "--seed", "--out")
-    p.add_argument("form", help="quasifree form JSON")
-
+        for dest, spec in positionals.items():
+            p.add_argument(dest, **spec)
+        p.set_defaults(run=run)
     return parser
 
 
@@ -438,19 +432,7 @@ def main(argv=None) -> int:
     try:
         config = RunConfig(**{f.name: getattr(args, f.name)
                               for f in fields(RunConfig) if hasattr(args, f.name)})
-        if args.command == "validate":
-            return cmd_validate(args.paths, config)
-        if args.command == "moments":
-            return cmd_moments(args.input, config)
-        if args.command == "overlap":
-            return cmd_overlap(args.projection, args.symplectic, config)
-        if args.command == "implement":
-            return cmd_implement(args.symplectic, args.projection, config)
-        if args.command == "classify":
-            return cmd_classify(args.family, config)
-        if args.command == "modular":
-            return cmd_modular(args.form, config)
-        parser.error(f"unknown command {args.command!r}")  # pragma: no cover
+        report, code = args.run(args, config)
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return EXIT_PARSE
@@ -460,7 +442,10 @@ def main(argv=None) -> int:
     except QfspError as exc:
         sys.stderr.write(f"invalid: {exc}\n")
         return EXIT_INVALID
-    return EXIT_OK  # pragma: no cover
+    text = dump_json(report, config.out)
+    if config.out is None:
+        sys.stdout.write(text + "\n")
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -20,7 +20,6 @@ from .errors import (
     GeometryError,
     InconclusiveError,
     InternalConsistencyError,
-    InvalidArgumentError,
 )
 from .fock import FockOperator, TruncatedFock, _sym_power_apply
 from .linalg import expm_apply, hs_norm, op_norm
@@ -237,9 +236,8 @@ def restricted_rotation(fk: TruncatedFock, rotation: SymplecticMap) -> np.ndarra
     return r
 
 
-def metaplectic_apply(fk: TruncatedFock, u: SymplecticMap, x: np.ndarray,
-                      sign: int = 1) -> np.ndarray:
-    """M x for the canonical implementer M = sign * T(P, P') * Gamma(R(U)|_{P K}).
+def metaplectic_apply(fk: TruncatedFock, u: SymplecticMap, x: np.ndarray) -> np.ndarray:
+    """M x for the canonical implementer M = T(P, P') * Gamma(R(U)|_{P K}).
 
     The phase is pinned by the positive vacuum overlap of the T factor and
     the exact symmetric-power action of the rotation; M conjugates Weyl
@@ -247,9 +245,7 @@ def metaplectic_apply(fk: TruncatedFock, u: SymplecticMap, x: np.ndarray,
     Gamma(R) is built only up to the top sector of x, and T is exp(-i q(H))
     with the generator H that :func:`polar` already built.
     """
-    if sign not in (1, -1):
-        raise InvalidArgumentError("sign must be +1 or -1")
-    return float(sign) * _metaplectic_apply(fk, polar(fk.form.space, u, fk.form), x)
+    return _metaplectic_apply(fk, polar(fk.form.space, u, fk.form), x)
 
 
 def _metaplectic_apply(fk: TruncatedFock, parts: PolarParts,

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from qfsp.classifier import (
     norm_equivalence_bounds,
 )
 import qfsp
+from qfsp import cli
 from qfsp.cli import main
 from qfsp.quasifree import QuasifreeForm, fock_form, thermal_form
 from qfsp.serialize import (
@@ -104,9 +106,17 @@ def test_moments_rejects_malformed_vector(tmp_path, diag1, capsys, bad, message)
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case", ["dim-string", "dim-float", "no-sigma-prime",
-                                  "block-not-object", "block-matrix-not-square"])
+MALFORMED = ["dim-string", "dim-float", "no-sigma-prime", "block-not-object",
+             "block-matrix-not-square", "vectors-int", "vectors-null",
+             "overlap-map-too-large", "implement-map-too-large",
+             "thresholds-int", "threshold-string", "threshold-nan",
+             "threshold-bool", "tol-inf", "tol-nan"]
+
+
+@pytest.mark.parametrize("case", MALFORMED)
 def test_malformed_input_is_a_parse_error(tmp_path, diag1, capsys, case):
+    """Each document in argv is written to a file of its own; strings are
+    passed as they are."""
     space = encode_phase_space(diag1)
     block = {"space": space,
              "Sigma": encode_form(thermal_form(diag1, 0.5))["Sigma"],
@@ -115,25 +125,80 @@ def test_malformed_input_is_a_parse_error(tmp_path, diag1, capsys, case):
     def family(blocks):
         return {"generator": {"kind": "explicit", "blocks": blocks}, "n_max": 2}
 
+    def moments(vectors):
+        return {"form": encode_form(thermal_form(diag1, 0.25)), "vectors": vectors}
+
+    def thresholds(document):
+        return ["classify", family([block, block]), "--thresholds", document]
+
+    fock1 = encode_form(fock_form(diag1))
+    map4 = encode_complex_matrix(np.eye(4))
     block_keys = "explicit block 1 needs keys space, Sigma, Sigma_prime"
-    command, document, message = {
-        "dim-string": ("validate", {**space, "dim": "abc"},
+    map_size = "symplectic matrix is 4x4, the space has dimension 2"
+    argv, message = {
+        "dim-string": (["validate", {**space, "dim": "abc"}],
                        "dim must be an integer; got 'abc'"),
-        "dim-float": ("validate", {**space, "dim": 2.7},
+        "dim-float": (["validate", {**space, "dim": 2.7}],
                       "dim must be an integer; got 2.7"),
-        "no-sigma-prime": ("classify", family([block, {"space": space,
-                                                       "Sigma": block["Sigma"]}]),
+        "no-sigma-prime": (["classify", family([block, {"space": space,
+                                                        "Sigma": block["Sigma"]}])],
                            block_keys),
-        "block-not-object": ("classify", family([block, 5]), block_keys),
+        "block-not-object": (["classify", family([block, 5])], block_keys),
         "block-matrix-not-square": (
-            "classify", family([block, {**block, "Sigma_prime": [[1, 2]]}]),
+            ["classify", family([block, {**block, "Sigma_prime": [[1, 2]]}])],
             "explicit block 1: complex matrix must be square with [re, im] "
             "entries; got shape (1, 2)"),
+        "vectors-int": (["moments", moments(5)], "'vectors' must be a list of vectors"),
+        "vectors-null": (["moments", moments(None)],
+                         "'vectors' must be a list of vectors"),
+        "overlap-map-too-large": (["overlap", fock1, map4], map_size),
+        "implement-map-too-large": (["implement", map4, fock1], map_size),
+        "thresholds-int": (thresholds(5), "thresholds must be a JSON object"),
+        "threshold-string": (thresholds({"min_fit_points": "x"}),
+                             "threshold min_fit_points must be a finite number; "
+                             "got 'x'"),
+        # json.dumps writes NaN as a literal that json.load accepts
+        "threshold-nan": (thresholds({"divergence_threshold": float("nan")}),
+                          "threshold divergence_threshold must be a finite "
+                          "number; got nan"),
+        "threshold-bool": (thresholds({"alpha_min": True}),
+                           "threshold alpha_min must be a finite number; got True"),
+        "tol-inf": (["modular", fock1, "--tol", "inf"], "tolerance must be finite"),
+        "tol-nan": (["validate", fock1, "--tol", "nan"], "tolerance must be finite"),
     }[case]
-    path = str(tmp_path / "input.json")
-    dump_json(document, path)
-    assert main([command, path]) == 2
+    for k, item in enumerate(argv):
+        if not isinstance(item, str):
+            argv[k] = str(tmp_path / f"input-{k}.json")
+            with open(argv[k], "w", encoding="utf-8") as fh:
+                json.dump(item, fh)
+    assert main(argv) == 2
     assert capsys.readouterr().err == f"parse error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "thermal.json"],
+    ["moments", "moments.json", "--bruteforce"],
+    ["overlap", "fock.json", "squeeze04.json", "--cutoff", "20"],
+    ["implement", "squeeze04.json", "fock.json", "--cutoff", "12"],
+    ["classify", "fam_conv.json", "--n-max", "20"],
+    ["modular", "thermal.json", "--cutoff", "8"],
+], ids=lambda argv: argv[0])
+def test_commands_return_their_report(inputs, tmp_path, capsys, argv):
+    """A command returns (report, exit code) and writes no report; main
+    writes exactly that report.  classify still writes its CSV beside --out."""
+    argv = [inputs.get(a, a) for a in argv] + ["--out", str(tmp_path / "report.json")]
+    args = cli.build_parser().parse_args(argv)
+    assert args.run is getattr(cli, f"cmd_{argv[0]}")
+    config = cli.RunConfig(**{f.name: getattr(args, f.name)
+                              for f in fields(cli.RunConfig) if hasattr(args, f.name)})
+    report, code = args.run(args, config)
+    assert type(report) is dict and type(code) is int
+    assert capsys.readouterr() == ("", "")
+    assert not (tmp_path / "report.json").exists()
+    assert (tmp_path / "report.csv").exists() == (argv[0] == "classify")
+    assert main(argv) == code
+    assert (tmp_path / "report.json").read_text() == dump_json(report) + "\n"
+    assert capsys.readouterr() == ("", "")
 
 
 def test_reports_match_the_reference_fock_primitives(inputs, tmp_path, diag2,

@@ -23,7 +23,6 @@ KEPT = {
     "fock.exponential_vector(parity)",
     "fock.factorization_check(rng)",
     "implementers.cocycle_sign(sector)",
-    "implementers.metaplectic_apply(sign)",
     "implementers.validate_symplectic(tol)",
     "linalg.MetricCalculus.eigh(check)",
     "linalg.MetricCalculus.to_hermitian(check)",
@@ -73,6 +72,16 @@ COMMAND_OPTIONS = {
 }
 
 
+COMMAND_POSITIONALS = {
+    "validate": ["paths"],
+    "moments": ["input"],
+    "overlap": ["projection", "symplectic"],
+    "implement": ["symplectic", "projection"],
+    "classify": ["family"],
+    "modular": ["form"],
+}
+
+
 def test_command_options_are_pinned():
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
@@ -80,3 +89,6 @@ def test_command_options_are_pinned():
                     for flag in action.option_strings}
              for name, p in sub.choices.items()}
     assert found == COMMAND_OPTIONS  # 21 settable values
+    positionals = {name: [a.dest for a in p._actions if not a.option_strings]
+                   for name, p in sub.choices.items()}
+    assert positionals == COMMAND_POSITIONALS  # in the order argv gives them
