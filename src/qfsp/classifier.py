@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import InvalidArgumentError, ParseError
 from .linalg import HERMITIZE_TOL, PIVOT_RATIO_MIN, pairwise_sum
@@ -62,6 +61,8 @@ def norm_equivalence_bounds(form: QuasifreeForm, other: QuasifreeForm):
     if ga is not None and gb is not None:
         vals = np.sort(ga / gb)
     else:
+        import scipy.linalg as sla
+
         vals = sla.eigvalsh(other.gram, form.gram)
     return float(np.sqrt(max(vals[0], 0.0))), float(np.sqrt(max(vals[-1], 0.0)))
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, fields
+from math import factorial
 
 import numpy as np
 
@@ -63,6 +64,7 @@ from .serialize import (
     dump_json,
     load_json,
 )
+from .sp_algebra import Hamiltonian, hamiltonian_projection
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -147,8 +149,6 @@ def cmd_moments(args, config: RunConfig) -> tuple[dict, int]:
             raise ParseError(f"vector {k} has non-finite entries")
     value = moment(form, vectors)
     n = len(vectors)
-    from math import factorial
-
     count = (factorial(n) // (2 ** (n // 2) * factorial(n // 2))) if n % 2 == 0 else 0
     report = {
         "moment": [value.real, value.imag],
@@ -225,7 +225,6 @@ def _real_symplectic_sample(fk, rng) -> SymplecticMap:
     The Hamiltonian is projected onto its purely imaginary part, so exp(iH)
     is a real matrix; products of these have real metaplectic cocycles.
     """
-    from .sp_algebra import hamiltonian_projection, Hamiltonian
     import scipy.linalg as sla
 
     ps = fk.form.space
@@ -433,6 +432,7 @@ def main(argv=None) -> int:
         config = RunConfig(**{f.name: getattr(args, f.name)
                               for f in fields(RunConfig) if hasattr(args, f.name)})
         report, code = args.run(args, config)
+        text = dump_json(report, config.out)
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return EXIT_PARSE
@@ -442,7 +442,9 @@ def main(argv=None) -> int:
     except QfspError as exc:
         sys.stderr.write(f"invalid: {exc}\n")
         return EXIT_INVALID
-    text = dump_json(report, config.out)
+    except OSError as exc:  # inputs are read by load_json, so this is --out or its CSV
+        sys.stderr.write(f"cannot write {exc.filename}: {exc}\n")
+        return EXIT_PARSE
     if config.out is None:
         sys.stdout.write(text + "\n")
     return code

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     GeometryError,
@@ -121,6 +120,8 @@ def bogoliubov_u(form: QuasifreeForm, other: QuasifreeForm):
     complement of ker(theta), where the numerators vanish as well (checked).
     Returns (SymplecticMap, Hamiltonian).
     """
+    import scipy.linalg as sla
+
     vals, vecs = _angle_data(form, other)
     calc = form.calculus
     th_vals = np.arcsinh(np.sqrt(vals))

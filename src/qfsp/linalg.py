@@ -11,12 +11,16 @@ costs one CSR product, an in-place scaling and add, and one inf-norm of the
 term; the norm of the running sum is taken only when a running bound says
 the stop test could pass.  The results are bitwise those of the plain loop
 that allocates every term and takes both norms on every term.
+
+scipy is imported inside the functions that call it (the triangular solves
+of ``op_norm`` and of a non-diagonal metric, ``expm_apply``'s sparse
+identity), and ``block_diag`` is numpy alone, so importing this module
+loads no scipy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import DegenerateFormError, InternalConsistencyError
 
@@ -26,6 +30,7 @@ __all__ = [
     "op_norm",
     "MetricCalculus",
     "pairwise_sum",
+    "block_diag",
     "expm_apply",
     "HERMITIZE_TOL",
     "PIVOT_RATIO_MIN",
@@ -66,6 +71,8 @@ def hs_norm(a: np.ndarray, metric: np.ndarray) -> float:
 
 def _right_divide_upper(a: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """a @ inv(upper) for an upper-triangular matrix, without forming the inverse."""
+    import scipy.linalg as sla
+
     return sla.solve_triangular(upper.T, a.T, lower=True).T
 
 
@@ -137,6 +144,8 @@ class MetricCalculus:
     def from_hermitian(self, tilde: np.ndarray) -> np.ndarray:
         if self._sqrt_diag is not None:
             return (tilde / self._sqrt_diag[:, None]) * self._sqrt_diag[None, :]
+        import scipy.linalg as sla
+
         lt = self.lower.conj().T
         return sla.solve_triangular(lt, tilde @ lt, lower=False)
 
@@ -209,6 +218,21 @@ def pairwise_sum(values) -> float:
             level = vals[0:even:2] + vals[1:even:2]
             vals = np.concatenate([level, vals[even:]]) if even < vals.size else level
     return float(vals[0])
+
+
+def block_diag(*blocks: np.ndarray) -> np.ndarray:
+    """Block-diagonal matrix of 2-D blocks, in ``scipy.linalg.block_diag``'s
+    layout: zeros of the blocks' result type, each block assigned in place,
+    so every entry off the blocks is +0.0."""
+    rows = sum(b.shape[0] for b in blocks)
+    cols = sum(b.shape[1] for b in blocks)
+    out = np.zeros((rows, cols), dtype=np.result_type(*blocks))
+    r = c = 0
+    for b in blocks:
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r += b.shape[0]
+        c += b.shape[1]
+    return out
 
 
 def expm_apply(a, x: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError
-from .linalg import adjoint
+from .linalg import adjoint, block_diag
 
 __all__ = [
     "Presentation",
@@ -116,10 +116,8 @@ def build_standard(n_modes: int, presentation: Presentation) -> PhaseSpace:
         c1 = np.eye(2, dtype=complex)
     else:  # pragma: no cover
         raise InvalidArgumentError(f"unknown presentation {presentation!r}")
-    import scipy.linalg as sla
-
-    G = sla.block_diag(*([g1] * n_modes))
-    C = sla.block_diag(*([c1] * n_modes))
+    G = block_diag(*([g1] * n_modes))
+    C = block_diag(*([c1] * n_modes))
     return PhaseSpace(G, C)
 
 

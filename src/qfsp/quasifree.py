@@ -13,14 +13,13 @@ from __future__ import annotations
 from functools import cache, cached_property
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     DegenerateFormError,
     InvalidArgumentError,
     SpectralSingularityError,
 )
-from .linalg import MetricCalculus
+from .linalg import MetricCalculus, block_diag
 from .phase_space import PhaseSpace, ValidationReport
 
 __all__ = [
@@ -267,8 +266,8 @@ def double(form: QuasifreeForm) -> DoubledSpace:
     """Purify: build the doubled phase space and its basis-projection form."""
     sp = form.space
     d = sp.dim
-    hat_g = sla.block_diag(sp.G, -sp.G)
-    hat_c = sla.block_diag(sp.C, sp.C)
+    hat_g = block_diag(sp.G, -sp.G)
+    hat_c = block_diag(sp.C, sp.C)
     hat_space = PhaseSpace(hat_g, hat_c)
     r = form.fn_of_s(lambda v: np.sqrt(np.clip(v * (1.0 - v), 0.0, None)))
     gram = form.gram
@@ -399,6 +398,6 @@ def transport_form(form: QuasifreeForm, u: np.ndarray) -> QuasifreeForm:
 
 def direct_sum_form(a: QuasifreeForm, b: QuasifreeForm) -> QuasifreeForm:
     """Block direct sum of two forms on the direct-sum phase space."""
-    space = PhaseSpace(sla.block_diag(a.space.G, b.space.G),
-                       sla.block_diag(a.space.C, b.space.C))
-    return QuasifreeForm(space, sla.block_diag(a.sigma, b.sigma))
+    space = PhaseSpace(block_diag(a.space.G, b.space.G),
+                       block_diag(a.space.C, b.space.C))
+    return QuasifreeForm(space, block_diag(a.sigma, b.sigma))

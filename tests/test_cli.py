@@ -294,6 +294,31 @@ def test_classify_exit_codes_and_csv(inputs, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_unwritable_out_is_a_one_line_error(inputs, tmp_path, capsys):
+    """--out into a missing directory: exit 2 and one stderr line naming the
+    path, as for an unreadable input."""
+    out = str(tmp_path / "missing" / "report.json")
+    assert main(["validate", inputs["thermal.json"], "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"cannot write {out}: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+def test_unwritable_classify_csv_is_a_one_line_error(inputs, tmp_path, capsys):
+    """The CSV beside --out is written first; when it cannot be written the
+    command exits 2 with one stderr line and writes no JSON report."""
+    csv = tmp_path / "report.csv"
+    csv.mkdir()
+    out = str(tmp_path / "report.json")
+    assert main(["classify", inputs["fam_const.json"], "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"cannot write {csv}: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert not os.path.exists(out)
+
+
 def test_classify_thresholds_file(inputs, tmp_path, capsys):
     th = str(tmp_path / "th.json")
     dump_json({"divergence_threshold": 5.0}, th)
@@ -455,14 +480,46 @@ def test_classify_overflowing_power_is_infinite(tmp_path, capsys):
     assert report["outcome"] == "Inconclusive"
 
 
-def test_cli_import_leaves_scipy_sparse_unloaded():
-    """The sparse Fock layer imports scipy.sparse on first use, so the
-    start-up cost of every command stays flat."""
+def test_numpy_only_paths_load_no_scipy(inputs, tmp_path):
+    """Import, --help, classify on a thermal_pair family and validate on a
+    diagonal-metric form load no scipy module in a fresh interpreter; scipy
+    is imported on first use only (overlap loads scipy.sparse for its Fock
+    check, the positive control)."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(qfsp.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    probe = ("import sys, qfsp.cli; print([m for m in ('scipy.sparse', "
-             "'scipy.sparse.linalg') if m in sys.modules])")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    probe = """
+import contextlib, io, json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+seen = {}
+from qfsp.cli import main
+seen["import"] = (0, scipy_modules())
+for name, argv in json.loads(sys.argv[1]):
+    seen[name] = (run(argv), scipy_modules())
+print(json.dumps(seen))
+"""
+    steps = [
+        ("help", ["--help"]),
+        ("classify", ["classify", inputs["fam_const.json"],
+                      "--out", str(tmp_path / "report.json")]),
+        ("validate", ["validate", inputs["thermal.json"]]),
+        ("overlap", ["overlap", inputs["fock.json"], inputs["squeeze04.json"]]),
+    ]
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe, json.dumps(steps)], env=env,
+                         check=True, capture_output=True, text=True, timeout=120)
+    seen = json.loads(out.stdout.strip().splitlines()[-1])
+    assert {name: code for name, (code, _) in seen.items()} == {
+        "import": 0, "help": 0, "classify": 3, "validate": 0, "overlap": 0}
+    for name in ("import", "help", "classify", "validate"):
+        assert seen[name][1] == [], name
+    assert "scipy.sparse" in seen["overlap"][1]
+    assert (tmp_path / "report.csv").exists()

@@ -1,18 +1,24 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import scipy.linalg as sla
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.sparse import csr_matrix
 
 from conftest import expm_apply_reference
+from qfsp import Presentation, build_standard
 from qfsp.errors import DegenerateFormError
 from qfsp.linalg import (
     MetricCalculus,
     adjoint,
+    block_diag,
     expm_apply,
     hs_norm,
     op_norm,
     pairwise_sum,
 )
+from qfsp.phase_space import PhaseSpace
+from qfsp.quasifree import QuasifreeForm, direct_sum_form, double, thermal_form
 
 
 def random_metric(rng, d):
@@ -190,3 +196,59 @@ def test_expm_apply_matches_reference_and_dense_expm(n, density, real, norm,
     want = _expm_extended(a.toarray(), x)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     assert x.tobytes() == x_bytes
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+_blocks = st.lists(
+    st.tuples(st.sampled_from([np.float64, np.complex128]),
+              st.integers(1, 4), st.integers(1, 4)).flatmap(
+        lambda t: arrays(t[0], (t[1], t[2]),
+                         elements=st.floats(allow_nan=False, width=64)
+                         if t[0] is np.float64 else
+                         st.complex_numbers(allow_nan=False, width=128))),
+    min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_blocks)
+@example([np.array([[-0.0]]), np.array([[-1.5 - 0.0j]])])
+@example([np.array([[2.0]])])
+def test_block_diag_matches_scipy_bitwise(blocks):
+    """Same dtype, shape and bits as scipy's block_diag on real, complex and
+    mixed blocks (1x1 included), and every entry off the blocks is +0.0."""
+    out = block_diag(*blocks)
+    assert _same_bits(out, sla.block_diag(*blocks))
+    on_block = np.zeros(out.shape, dtype=bool)
+    r = c = 0
+    for b in blocks:
+        on_block[r:r + b.shape[0], c:c + b.shape[1]] = True
+        r, c = r + b.shape[0], c + b.shape[1]
+    off = out[~on_block]
+    assert not np.signbit(off.real).any() and not np.signbit(off.imag).any()
+    assert (off == 0).all()
+
+
+def test_block_diag_callers_match_scipy_bitwise():
+    """Each caller of block_diag builds the matrices scipy's block_diag built."""
+    for presentation in Presentation:
+        one = build_standard(1, presentation)
+        for n in (1, 3):
+            ps = build_standard(n, presentation)
+            assert _same_bits(ps.G, sla.block_diag(*[one.G] * n).astype(complex))
+            assert _same_bits(ps.C, sla.block_diag(*[one.C] * n).astype(complex))
+    sp = build_standard(2, Presentation.DIAGONAL)
+    form = thermal_form(sp, 0.7)
+    hat = double(form).hat_space
+    assert _same_bits(hat.G, sla.block_diag(sp.G, -sp.G))
+    assert _same_bits(hat.C, sla.block_diag(sp.C, sp.C))
+    other = thermal_form(build_standard(1, Presentation.POSITION), 0.3)
+    got = direct_sum_form(form, other)
+    want = QuasifreeForm(PhaseSpace(sla.block_diag(form.space.G, other.space.G),
+                                    sla.block_diag(form.space.C, other.space.C)),
+                         sla.block_diag(form.sigma, other.sigma))
+    for a, b in ((got.space.G, want.space.G), (got.space.C, want.space.C),
+                 (got.sigma, want.sigma)):
+        assert _same_bits(a, b)
