@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidArgumentError, ParseError
+from .errors import InternalConsistencyError, InvalidArgumentError, ParseError
 from .linalg import HERMITIZE_TOL, PIVOT_RATIO_MIN, pairwise_sum
 from .phase_space import Presentation, build_standard
 from .quasifree import (
@@ -26,7 +26,6 @@ from .quasifree import (
     chi_values,
     double,
     require_half_free,
-    thermal_form,
 )
 from .implementers import vacuum_overlap
 
@@ -189,6 +188,8 @@ class ModeFamily:
     matrices Sigma and Sigma', each stacked into an (n, d) array; it is for
     families whose blocks are diagonal forms on the standard Diagonal space,
     and lets classify_family evaluate them without building any form.
+    ``block(k)`` must build the forms with those diagonals; a thermal_pair
+    family's reads them from ``stacked``, so each block is defined once.
     """
 
     block: Callable[[int], tuple[QuasifreeForm, QuasifreeForm]]
@@ -266,7 +267,9 @@ def classify_family(family: ModeFamily, config: FamilyConfig | None = None) -> V
     bounded chunk of mode indices at a time; other families call the
     per-pair functions block by block, in the calling thread.  The evidence
     series ``k``, ``t``, ``alpha`` and ``beta`` are numpy arrays.  A failing
-    block raises InvalidArgumentError naming the first such k.
+    block raises InvalidArgumentError naming the first such k, with the
+    per-pair functions' failure on that block: the batched pass only finds
+    the block, then evaluates it through ``block(k)``.
     """
     config = config or FamilyConfig()
     n = family.n_max
@@ -278,11 +281,12 @@ def classify_family(family: ModeFamily, config: FamilyConfig | None = None) -> V
         # chunks bound the memory of the stacked temporaries
         for start in range(1, n + 1, _CHUNK_BLOCKS):
             ks = np.arange(start, min(start + _CHUNK_BLOCKS, n + 1))
-            t, alpha, beta, fail = _diag_evidence(*family.stacked(ks))
-            bad = np.flatnonzero(fail)
-            if bad.size:
-                raise InvalidArgumentError(
-                    f"block {ks[bad[0]]} failed: {_BLOCK_FAILURES[fail[bad[0]]]}")
+            t, alpha, beta, bad = _diag_evidence(*family.stacked(ks))
+            if bad.any():
+                k = int(ks[bad.argmax()])
+                _pair_evidence(family, k)  # raises the block's failure
+                raise InternalConsistencyError(
+                    f"block {k} failed the batched checks but passed the per-pair ones")
             rows[:, ks - 1] = t, alpha, beta
     t, alpha, beta = rows
     evidence = {"k": np.arange(1, n + 1), "t": t, "alpha": alpha, "beta": beta}
@@ -298,65 +302,46 @@ def _pair_evidence(family: ModeFamily, k: int):
         raise InvalidArgumentError(f"block {k} failed: {exc}") from exc
 
 
-# Batched evidence of stacked families.  For every block this computes what
-# hs_discriminant and norm_equivalence_bounds compute for one pair, with the
-# same checks.  The blocks have diagonal two-point matrices on the standard
-# Diagonal space, whose conjugation swaps the two basis vectors of each
-# mode, so their Gram matrices are diagonal too.  The arithmetic repeats the
-# complex-dtype steps of the per-pair functions elementwise, so the results
-# are bit-identical to theirs.
+# Batched evidence of stacked families: for every block, what hs_discriminant
+# and norm_equivalence_bounds compute for one pair.  The blocks have diagonal
+# two-point matrices on the standard Diagonal space, whose conjugation swaps
+# the two basis vectors of each mode, so their Gram matrices are diagonal
+# too.  The arithmetic repeats the complex-dtype steps of the per-pair
+# functions elementwise, so the results are bit-identical to theirs.  The
+# checks only mark a block bad; classify_family takes the failure and its
+# message from the per-pair functions.
 
-_BLOCK_FAILURES = (
-    None,
-    "Sigma has non-finite entries",
-    "state Gram matrix G_S is not positive definite",
-    "matrix is not metric-self-adjoint",
-    "S_op has an eigenvalue too close to 1/2",
-)
-_NON_FINITE, _SINGULAR, _NOT_SELF_ADJOINT, _HALF = 1, 2, 3, 4
 _CHUNK_BLOCKS = 1 << 16
 
 
-def _flag(fail: np.ndarray, bad: np.ndarray, code: int) -> None:
-    """Record ``code`` for the blocks in ``bad`` that have not failed yet."""
-    fail[(fail == 0) & bad] = code
-
-
-def _diag_form(sd, fail):
-    """Gram diagonal, its square root and the clamped S_op spectrum of forms
-    with diagonal Sigma (rows of ``sd``), with the checks of MetricCalculus
-    and of the spectrum near 1/2."""
+def _diag_form(sd):
+    """Gram diagonal, its square root, the clamped S_op spectrum and the bad
+    mask (non-finite Sigma, the checks of MetricCalculus, spectrum near 1/2)
+    of forms with diagonal Sigma, the rows of ``sd``."""
     swap = np.arange(sd.shape[1]) ^ 1
     x = sd + np.conj(sd[:, swap])
     gram = (0.5 * (x + np.conj(x))).real
     root = np.sqrt(gram)
     pivots = root * root
-    _flag(fail, ~(gram > 0.0).all(axis=1)
-          | (pivots.min(axis=1) <= PIVOT_RATIO_MIN * pivots.max(axis=1)), _SINGULAR)
     tilde = (root * (sd / gram)) / root
     # MetricCalculus.to_hermitian's residual test
     res = np.sqrt((np.abs(tilde - np.conj(tilde)) ** 2).sum(axis=1))
     scale = np.maximum(1.0, np.sqrt((np.abs(tilde) ** 2).sum(axis=1)))
-    _flag(fail, ~(res <= HERMITIZE_TOL * scale), _NOT_SELF_ADJOINT)
     vals = np.clip((0.5 * (tilde + np.conj(tilde))).real, 0.0, 1.0)
-    _flag(fail, (np.abs(vals - 0.5) < HALF_EIGENVALUE_TOL).any(axis=1), _HALF)
-    return gram, root, vals
+    bad = (~np.isfinite(sd).all(axis=1) | ~(gram > 0.0).all(axis=1)
+           | (pivots.min(axis=1) <= PIVOT_RATIO_MIN * pivots.max(axis=1))
+           | ~(res <= HERMITIZE_TOL * scale)
+           | (np.abs(vals - 0.5) < HALF_EIGENVALUE_TOL).any(axis=1))
+    return gram, root, vals, bad
 
 
 def _diag_evidence(sd, sd_o):
-    """(t, alpha, beta, fail) for stacked blocks given by the diagonals of
-    Sigma and Sigma'.
-
-    ``fail`` holds 0 for a good block and otherwise the index in
-    _BLOCK_FAILURES of its first failed check, taken in the order the
-    per-pair functions run them.
-    """
-    fail = np.zeros(len(sd), dtype=np.intp)
-    finite = np.isfinite(sd).all(axis=1) & np.isfinite(sd_o).all(axis=1)
-    _flag(fail, ~finite, _NON_FINITE)
+    """(t, alpha, beta, bad) for stacked blocks given by the diagonals of
+    Sigma and Sigma'; ``bad`` marks the blocks that fail a check of the
+    per-pair functions, whose t, alpha and beta mean nothing."""
     with np.errstate(all="ignore"):
-        gram, root, vals = _diag_form(sd, fail)
-        gram_o, root_o, vals_o = _diag_form(sd_o, fail)
+        gram, root, vals, bad = _diag_form(sd)
+        gram_o, root_o, vals_o, bad_o = _diag_form(sd_o)
         left = np.sign(2.0 * vals - 1.0) * np.exp(-chi_values(vals))
         right = np.exp(chi_values(vals_o)) * np.sign(2.0 * vals_o - 1.0)
         left = (left.astype(complex) / root) * root
@@ -368,7 +353,7 @@ def _diag_evidence(sd, sd_o):
         t = np.where(0.0 > t, 0.0, t)
         alpha = np.sqrt(np.where(0.0 > ratio[:, 0], 0.0, ratio[:, 0]))
         beta = np.sqrt(np.where(0.0 > ratio[:, -1], 0.0, ratio[:, -1]))
-    return t, alpha, beta, fail
+    return t, alpha, beta, bad | bad_o
 
 
 _BINARY_OPS = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply,
@@ -432,13 +417,14 @@ def mode_expression(text: str) -> Callable:
 
 
 def _sinh_squared(tau: np.ndarray) -> np.ndarray:
-    """sinh(tau)**2 elementwise, bit-identical to the scalar ``np.sinh(t)**2``.
+    """sinh(tau)**2 elementwise, bit-identical to the scalar ``np.sinh(t)**2``
+    that has always rounded the thermal occupations, so that classify
+    reports stay byte-identical.
 
     A numpy float64 scalar squares through the C library's pow, which
-    differs from the vectorised x*x in the last bit for roughly one value in
-    a thousand; the builtin pow calls the same C function.  It raises where
-    the square leaves the float range, so values from 1.3e154 up keep x*x;
-    from 1.35e154 on both give inf.
+    differs from x*x in the last bit for about one value in a thousand; the
+    builtin pow calls the same C function but raises beyond the float range,
+    so values from 1.3e154 up keep x*x (from 1.35e154 on both give inf).
     """
     with np.errstate(over="ignore", invalid="ignore"):
         s = np.sinh(tau)
@@ -447,11 +433,6 @@ def _sinh_squared(tau: np.ndarray) -> np.ndarray:
     vals = s[small].tolist()
     out[small] = np.fromiter(map(pow, vals, [2.0] * len(vals)), float, len(vals))
     return out
-
-
-def _thermal_diagonals(nu: np.ndarray) -> np.ndarray:
-    """Stacked diagonals (1 + nu, nu) of one-mode thermal_form Sigmas."""
-    return np.stack([1.0 + nu, nu], axis=1).astype(complex)
 
 
 def family_from_json(data: dict) -> ModeFamily:
@@ -474,14 +455,14 @@ def family_from_json(data: dict) -> ModeFamily:
         tau_p = mode_expression(gen.get("tau_prime", "0"))
         space = build_standard(1, Presentation.DIAGONAL)
 
-        def block(k: int):
-            nu = float(np.sinh(tau(k)) ** 2)
-            nu_p = float(np.sinh(tau_p(k)) ** 2)
-            return thermal_form(space, nu), thermal_form(space, nu_p)
-
         def stacked(ks: np.ndarray):
-            return (_thermal_diagonals(_sinh_squared(tau(ks))),
-                    _thermal_diagonals(_sinh_squared(tau_p(ks))))
+            # the diagonals (1 + nu, nu) of one-mode thermal_form Sigmas
+            return tuple(np.stack([1.0 + nu, nu], axis=1).astype(complex)
+                         for nu in (_sinh_squared(tau(ks)), _sinh_squared(tau_p(ks))))
+
+        def block(k: int):
+            return tuple(QuasifreeForm(space, np.diag(sd[0]))
+                         for sd in stacked(np.array([k])))
 
         return ModeFamily(block=block, n_max=n_max, stacked=stacked)
     if kind == "explicit":

@@ -28,7 +28,7 @@ from math import factorial
 import numpy as np
 
 from . import __version__
-from .errors import ParseError, QfspError, TruncationError
+from .errors import InconclusiveError, ParseError, QfspError, TruncationError
 from .classifier import (
     FamilyConfig,
     classify_family,
@@ -439,6 +439,9 @@ def main(argv=None) -> int:
     except TruncationError as exc:
         sys.stderr.write(f"insufficient cutoff: {exc}\n")
         return EXIT_CUTOFF
+    except InconclusiveError as exc:
+        sys.stderr.write(f"inconclusive: {exc}\n")
+        return EXIT_INCONCLUSIVE
     except QfspError as exc:
         sys.stderr.write(f"invalid: {exc}\n")
         return EXIT_INVALID

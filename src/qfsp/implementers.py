@@ -19,6 +19,7 @@ from .errors import (
     GeometryError,
     InconclusiveError,
     InternalConsistencyError,
+    InvalidArgumentError,
 )
 from .fock import FockOperator, TruncatedFock, _sym_power_apply
 from .linalg import expm_apply, hs_norm, op_norm
@@ -47,6 +48,8 @@ THETA_CLAMP_TOL = 1e-12
 POLAR_CORNER_TOL = 1e-9
 COCYCLE_FLOOR = 1e-10
 COCYCLE_FIT_MAX = 1e-4
+# the square of a larger norm overflows, and so does the check m* G m
+SYMPLECTIC_NORM_MAX = 1e154
 
 
 @dataclass(frozen=True)
@@ -70,13 +73,17 @@ class PolarParts:
 
 def validate_symplectic(ps: PhaseSpace, u, tol: float = 1e-9) -> ValidationReport:
     m = u.u if isinstance(u, SymplecticMap) else np.asarray(u, dtype=complex)
-    scale = max(1.0, float(np.linalg.norm(m, 2)) ** 2)
+    norm = float(np.linalg.norm(m, 2))
+    if not norm <= SYMPLECTIC_NORM_MAX:
+        raise InvalidArgumentError(f"matrix norm {norm:.3e} is too large: "
+                                   "m* G m leaves the float range")
+    scale = max(1.0, norm ** 2)
     res = {
         "gamma_preserving": float(
             np.linalg.norm(m.conj().T @ ps.G @ m - ps.G, 2)
         ) / (scale * max(1.0, float(np.abs(ps.G).max()))),
         "gamma_commuting": float(np.linalg.norm(ps.conj_op(m) - m, 2))
-        / max(1.0, float(np.linalg.norm(m, 2))),
+        / max(1.0, norm),
     }
     return ValidationReport(residuals=res, valid=all(v <= tol for v in res.values()))
 

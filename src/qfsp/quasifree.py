@@ -52,6 +52,8 @@ class QuasifreeForm:
         sigma = np.array(sigma, dtype=complex)
         if sigma.shape != (space.dim, space.dim):
             raise InvalidArgumentError("Sigma has wrong dimensions for the space")
+        if not np.isfinite(sigma).all():
+            raise DegenerateFormError("Sigma has non-finite entries")
         sigma.setflags(write=False)
         self.space = space
         self.sigma = sigma
@@ -276,7 +278,12 @@ def double(form: QuasifreeForm) -> DoubledSpace:
     hat_sigma = np.vstack([top, bot])
     hat_sigma = 0.5 * (hat_sigma + hat_sigma.conj().T)
     hat_form = QuasifreeForm(hat_space, hat_sigma)
-    _ = hat_form.calculus  # raises DegenerateFormError at spectrum 1/2
+    try:
+        _ = hat_form.calculus
+    except DegenerateFormError as exc:  # gamma_S = 2 S_op - 1 is near singular
+        gap = np.abs(form.s_eig[0] - 0.5).min()
+        raise DegenerateFormError("the doubling is singular: S_op has an "
+                                  f"eigenvalue {gap:.1e} from 1/2") from exc
     return DoubledSpace(base=form, hat_space=hat_space, hat_form=hat_form)
 
 
@@ -391,7 +398,10 @@ def transport_form(form: QuasifreeForm, u: np.ndarray) -> QuasifreeForm:
     original composed with the inverse automorphism.
     """
     u = np.asarray(u, dtype=complex)
-    ui = np.linalg.inv(u)
+    try:
+        ui = np.linalg.inv(u)
+    except np.linalg.LinAlgError as exc:
+        raise InvalidArgumentError("Bogoliubov map is singular to working precision") from exc
     sig = ui.conj().T @ form.sigma @ ui
     return QuasifreeForm(form.space, 0.5 * (sig + sig.conj().T))
 

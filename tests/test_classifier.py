@@ -1,3 +1,6 @@
+import json
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from qfsp import (
     DegenerateFormError,
     FamilyConfig,
+    InternalConsistencyError,
     InvalidArgumentError,
     classify_family,
     classify_pair,
@@ -14,7 +18,13 @@ from qfsp import (
     norm_equivalence_bounds,
     state_distance_lower_bound,
 )
-from qfsp.classifier import ModeFamily, mode_expression, verdict_from_evidence
+from qfsp.classifier import (
+    ModeFamily,
+    _pair_evidence,
+    mode_expression,
+    verdict_from_evidence,
+)
+from qfsp.cli import main
 from qfsp.errors import ParseError
 from qfsp.quasifree import (
     QuasifreeForm,
@@ -23,6 +33,7 @@ from qfsp.quasifree import (
     thermal_form,
     transport_form,
 )
+from qfsp.serialize import dump_json
 from conftest import random_kappa_real
 
 
@@ -337,6 +348,49 @@ def test_family_first_failing_block_wins(diag1):
     with pytest.raises(InvalidArgumentError, match="block 4 failed: cannot build"):
         classify_family(ModeFamily(
             block=lambda k: block(k) if k != 2 else block(1), n_max=6))
+
+
+@pytest.mark.parametrize("tau, tau_prime, first", [
+    ("1/(k-2)", "0", 2),   # nu = inf
+    ("log(k-3)", "0", 1),  # nu = nan
+    ("k", "0", 11),        # S_op spectrum within 1e-9 of 1/2
+    ("0", "40", 1),        # the same on the second form
+])
+def test_batched_failure_is_the_pair_failure(tmp_path, capsys, tau, tau_prime, first):
+    description = {"generator": {"kind": "thermal_pair", "tau": tau,
+                                 "tau_prime": tau_prime}, "n_max": 20}
+    fam = family_from_json(description)
+    path = str(tmp_path / "family.json")
+    dump_json(description, path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for k in range(1, first):
+            _pair_evidence(fam, k)
+        with pytest.raises(InvalidArgumentError) as pair:
+            _pair_evidence(fam, first)
+        with pytest.raises(InvalidArgumentError) as batched:
+            classify_family(fam)
+        assert main(["classify", path]) == 1
+    message = str(pair.value)
+    assert message.startswith(f"block {first} failed: ")
+    assert str(batched.value) == message
+    out = capsys.readouterr()
+    assert json.loads(out.out) == {"error": message}
+    assert out.err == "" and caught == []
+
+
+def test_batched_flag_the_pair_path_passes_is_internal(diag1):
+    # stacked diagonals that disagree with block(k): the batched checks flag
+    # block 2, whose per-pair evaluation passes
+    def stacked(ks):
+        sd = np.tile(np.array([1.5, 0.5], dtype=complex), (len(ks), 1))
+        sd[ks == 2] = np.nan
+        return sd, sd.copy()
+
+    fam = ModeFamily(block=lambda k: (thermal_form(diag1, 0.5),) * 2,
+                     n_max=3, stacked=stacked)
+    with pytest.raises(InternalConsistencyError, match="block 2"):
+        classify_family(fam)
 
 
 _LEAVES = st.one_of(

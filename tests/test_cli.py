@@ -270,6 +270,51 @@ def test_non_finite_symplectic_map_is_a_parse_error(inputs, tmp_path, capsys,
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("r, message", [
+    (10, "state Gram matrix G_S is not positive definite"),
+    (30, "Bogoliubov map is singular to working precision"),  # cosh r == sinh r
+    (400, "matrix norm 5.221e+173 is too large"),  # its square overflows
+])
+@pytest.mark.parametrize("command", ["overlap", "implement"])
+def test_extreme_squeeze_is_a_one_line_error(inputs, tmp_path, capsys, command,
+                                             r, message):
+    path = str(tmp_path / "squeeze.json")
+    dump_json(encode_complex_matrix(squeeze(r)), path)
+    args = ([inputs["fock.json"], path] if command == "overlap"
+            else [path, inputs["fock.json"]])
+    assert main([command, *args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid: {message}") and err.count("\n") == 1
+
+
+def test_inconclusive_cocycle_exits_4(tmp_path, diag2, capsys):
+    # the identity's cocycle samples do not fit at the default cutoff 16
+    fock, eye = str(tmp_path / "fock2.json"), str(tmp_path / "identity.json")
+    dump_json(encode_form(fock_form(diag2)), fock)
+    dump_json(encode_complex_matrix(np.eye(4)), eye)
+    assert main(["implement", eye, fock, "--bruteforce"]) == 4
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1
+    assert out.err.startswith("inconclusive: cocycle ratio fit residual ")
+
+
+def test_doubling_near_half_names_the_spectrum(tmp_path, diag1, capsys):
+    # nu = 1e8 is a valid mixed form, but its S_op spectrum lies 2.5e-9 from
+    # 1/2, where the purifying doubling degenerates
+    encoded = encode_form(thermal_form(diag1, 1e8))
+    form, moments = str(tmp_path / "thermal.json"), str(tmp_path / "moments.json")
+    dump_json(encoded, form)
+    dump_json({"form": encoded,
+               "vectors": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
+              moments)
+    assert main(["validate", form]) == 0
+    assert json.loads(capsys.readouterr().out)["reports"][0]["classification"] == "Mixed"
+    for argv in (["modular", form], ["moments", moments, "--bruteforce"]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == ("invalid: the doubling is singular: "
+                                           "S_op has an eigenvalue 2.5e-09 from 1/2\n")
+
+
 def test_implement_command(inputs, capsys):
     assert main(["implement", inputs["squeeze04.json"], inputs["fock.json"],
                  "--cutoff", "40", "--bruteforce"]) == 0

@@ -181,10 +181,11 @@ def test_s_operator_degenerate_gram(diag1, pos1):
 
 
 def test_s_operator_non_finite_sigma(pos1):
-    # before the metric check, a NaN Gram passed Cholesky and s_op was all NaN
-    with pytest.raises(DegenerateFormError) as excinfo:
-        QuasifreeForm(pos1, np.array([[np.nan, 0.5j], [-0.5j, 1.0]])).s_op
-    assert "non-finite" in str(excinfo.value.__cause__)
+    # refused at construction, before a Gram matrix of NaNs (or a matmul
+    # warning on inf) can arise
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DegenerateFormError, match="^Sigma has non-finite entries$"):
+            QuasifreeForm(pos1, np.array([[bad, 0.5j], [-0.5j, 1.0]]))
 
 
 def test_pairing_count_matches_formula():
