@@ -34,7 +34,7 @@ class SpectralSingularityError(QfspError):
 
 
 class GeometryError(QfspError):
-    """Inputs do not form a valid projection pair (negative angle spectrum)."""
+    """Inputs do not form a valid projection pair, or rounding hides whether they do."""
 
 
 class BoundaryError(QfspError):

@@ -101,8 +101,8 @@ def _angle_data(form: QuasifreeForm, other: QuasifreeForm):
         vals, vecs = calc.eigh(a)
     except InternalConsistencyError as exc:
         raise GeometryError(
-            "-(S - S')^2 is not self-adjoint for the S metric; "
-            "inputs are not a valid projection pair"
+            "rounding at this squeeze exceeds working precision: -(S - S')^2 at "
+            f"||S'_op|| = {np.linalg.norm(other.s_op, 2):.3e} fails the S metric: {exc}"
         ) from exc
     scale = max(1.0, float(np.abs(vals).max()))
     if vals.min() < -THETA_CLAMP_TOL * scale:

@@ -1,8 +1,19 @@
-"""JSON encodings: complex entries are [re, im] pairs throughout."""
+"""JSON encodings (complex entries as [re, im] pairs) and the report writer.
+
+Byte-level contract: ``dump_json(obj)`` is ``json.dumps(obj, indent=2,
+sort_keys=True, allow_nan=False, default=_json_default)`` (2-space indent,
+sorted keys, NaN and infinities refused), plus one trailing newline in a file.
+Lists of exact ``float``s (``%r`` of an ``np.float64`` differs), or of
+equal-length lists of them, fill one cached ``%r`` template.
+"""
 
 from __future__ import annotations
 
+import functools
 import json
+import math
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -43,9 +54,7 @@ def decode_complex_matrix(data) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def encode_complex_vector(v: np.ndarray) -> list:
-    v = np.asarray(v, dtype=complex)
-    return np.stack([v.real, v.imag], axis=-1).tolist()
+encode_complex_vector = encode_complex_matrix
 
 
 def decode_complex_vector(data) -> np.ndarray:
@@ -105,18 +114,59 @@ def load_json(path: str):
 
 
 def _json_default(o):
-    if isinstance(o, np.bool_):
-        return bool(o)
-    if isinstance(o, np.integer):
-        return int(o)
-    if isinstance(o, np.floating):
-        return float(o)
+    for kind, cast in ((np.bool_, bool), (np.integer, int), (np.floating, float)):
+        if isinstance(o, kind):
+            return cast(o)
     raise TypeError(f"not JSON serializable: {type(o)!r}")
 
 
+def _wrap(items: list, level: int, brackets: str) -> str:
+    indent = "\n" + "  " * (level + 1)
+    return (brackets[0] + indent + ("," + indent).join(items)
+            + "\n" + "  " * level + brackets[1]) if items else brackets
+
+
+@functools.lru_cache(maxsize=256)
+def _float_template(level: int, shape: tuple) -> str:
+    item = _float_template(level + 1, shape[1:]) if shape[1:] else "%r"
+    return _wrap([item] * shape[0], level, "[]")
+
+
+def _encode_key(k) -> str:
+    if k is None or isinstance(k, (str, int, float)):
+        return _encode(k, 0) if isinstance(k, str) else f'"{_encode(k, 0)}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+def _encode(o, level: int) -> str:
+    """JSON text of ``o`` at indent ``level``, each item one level deeper."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None or o is True or o is False:
+        return "null" if o is None else "true" if o else "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if math.isfinite(o):
+            return float.__repr__(o)
+        raise ValueError(f"Out of range float values are not JSON compliant: {o!r}")
+    if isinstance(o, dict):
+        return _wrap([_encode_key(k) + ": " + _encode(v, level + 1)
+                      for k, v in sorted(o.items())], level, "{}")
+    if not isinstance(o, (list, tuple)):
+        return _encode(_json_default(o), level)
+    flat, shape = o, (len(o),)
+    if set(map(type, o)) == {list} and len(set(map(len, o))) == 1:
+        flat, shape = tuple(chain.from_iterable(o)), (len(o), len(o[0]))
+    if set(map(type, flat)) == {float}:
+        text = _float_template(level, shape) % tuple(flat)
+        if "n" not in text:  # of float reprs, only nan and inf spell an n
+            return text
+    return _wrap([_encode(v, level + 1) for v in o], level, "[]")
+
+
 def dump_json(obj, path: str | None = None) -> str:
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False,
-                      default=_json_default)
+    text = _encode(obj, 0)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

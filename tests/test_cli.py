@@ -175,14 +175,18 @@ def test_malformed_input_is_a_parse_error(tmp_path, diag1, capsys, case):
     assert capsys.readouterr().err == f"parse error: {message}\n"
 
 
-@pytest.mark.parametrize("argv", [
+# one small call of each command
+COMMAND_CALLS = [
     ["validate", "thermal.json"],
     ["moments", "moments.json", "--bruteforce"],
     ["overlap", "fock.json", "squeeze04.json", "--cutoff", "20"],
     ["implement", "squeeze04.json", "fock.json", "--cutoff", "12"],
     ["classify", "fam_conv.json", "--n-max", "20"],
     ["modular", "thermal.json", "--cutoff", "8"],
-], ids=lambda argv: argv[0])
+]
+
+
+@pytest.mark.parametrize("argv", COMMAND_CALLS, ids=lambda argv: argv[0])
 def test_commands_return_their_report(inputs, tmp_path, capsys, argv):
     """A command returns (report, exit code) and writes no report; main
     writes exactly that report.  classify still writes its CSV beside --out."""
@@ -199,6 +203,18 @@ def test_commands_return_their_report(inputs, tmp_path, capsys, argv):
     assert main(argv) == code
     assert (tmp_path / "report.json").read_text() == dump_json(report) + "\n"
     assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("argv", COMMAND_CALLS, ids=lambda argv: argv[0])
+def test_report_files_have_the_stdlib_json_layout(inputs, tmp_path, argv):
+    """Each report file is the standard library's indent-2, sorted-key text of
+    its own contents plus a newline; floats round-trip exactly through repr,
+    so this pins the bytes without going through dump_json."""
+    out = tmp_path / "report.json"
+    main([inputs.get(a, a) for a in argv] + ["--out", str(out)])
+    data = json.loads(out.read_text(encoding="utf-8"))
+    golden = json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
+    assert out.read_bytes() == (golden + "\n").encode()
 
 
 def test_reports_match_the_reference_fock_primitives(inputs, tmp_path, diag2,
@@ -271,6 +287,10 @@ def test_non_finite_symplectic_map_is_a_parse_error(inputs, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("r, message", [
+    # a valid squeeze past working precision; the residual digits are rounding
+    (6, "rounding at this squeeze exceeds working precision: -(S - S')^2 at "
+        "||S'_op|| = 8.138e+04 fails the S metric: matrix is not "
+        "metric-self-adjoint (residual "),
     (10, "state Gram matrix G_S is not positive definite"),
     (30, "Bogoliubov map is singular to working precision"),  # cosh r == sinh r
     (400, "matrix norm 5.221e+173 is too large"),  # its square overflows

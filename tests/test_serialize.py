@@ -12,6 +12,7 @@ from qfsp.serialize import (
     decode_complex_vector,
     decode_form,
     decode_phase_space,
+    _json_default,
     dump_json,
     encode_complex_matrix,
     encode_complex_vector,
@@ -91,3 +92,90 @@ def test_dump_and_load(tmp_path):
     assert load_json(str(path)) == {"a": [1.5, 2.5], "b": 1}
     with pytest.raises(ParseError):
         load_json(str(tmp_path / "missing.json"))
+
+
+def oracle(obj) -> str:
+    """The standard library's text, which dump_json reproduces byte for byte."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False,
+                      default=_json_default)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e16, 1e-5, -2.5e300]),
+                    _FINITE)
+_STRINGS = st.one_of(st.text(), st.sampled_from(
+    ['say "hi"', "back\\slash", "tab\tline\nnul\x00\x1f\x7f", "ünï ☃ 𝄞 \u2028"]))
+_NUMPY = st.one_of(
+    _FINITE.map(np.float64),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+)
+# encode_complex_vector's pairs and one encode_complex_matrix row
+_ROWS = st.integers(1, 3).flatmap(lambda k: st.lists(
+    st.lists(_FLOATS, min_size=k, max_size=k), min_size=1, max_size=6))
+
+
+def _float64_at(rows, i):
+    """The rows with one exact float turned into an np.float64."""
+    rows = [list(row) for row in rows]
+    row = rows[i % len(rows)]
+    row[i % len(row)] = np.float64(row[i % len(row)])
+    return rows
+
+
+_FLOAT_LISTS = st.one_of(
+    st.lists(_FLOATS), _ROWS,
+    st.lists(st.lists(_FLOATS, max_size=3), max_size=4),  # ragged and empty
+    st.builds(_float64_at, _ROWS, st.integers(0, 99)),
+    st.builds(lambda row, i: _float64_at([row], i)[0],
+              st.lists(_FLOATS, min_size=1), st.integers(0, 99)),
+)
+_KEYS = st.one_of(st.just(st.text()), st.just(st.integers()), st.just(_FINITE),
+                  st.just(st.booleans()), st.just(st.none()))
+_JSON = st.recursive(
+    st.one_of(_STRINGS, st.integers(), st.booleans(), st.none(), _FLOATS,
+              _NUMPY, _FLOAT_LISTS, st.just([1, 2.5])),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        _KEYS.flatmap(lambda keys: st.dictionaries(keys, children, max_size=4)),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON)
+def test_dump_json_matches_the_stdlib_oracle(obj):
+    assert dump_json(obj) == oracle(obj)
+
+
+@pytest.mark.parametrize("bad", [
+    float("nan"), float("inf"), -float("inf"), np.float64("nan"),
+    [1.0, float("nan")], [[0.5, -float("inf")], [1.0, 2.0]],
+    {"a": {"b": (2.0, float("inf"))}}, {float("nan"): 1},
+], ids=repr)
+def test_non_finite_floats_raise_the_oracle_error(bad):
+    with pytest.raises(ValueError) as want:
+        oracle(bad)
+    assert str(want.value).startswith("Out of range float values")
+    with pytest.raises(ValueError) as got:
+        dump_json(bad)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("bad", [{(1, 2): 0}, {np.int64(1): 0}, np.zeros(2), 1j])
+def test_unencodable_values_raise_the_oracle_error(bad):
+    with pytest.raises(TypeError) as want:
+        oracle(bad)
+    with pytest.raises(TypeError) as got:
+        dump_json(bad)
+    assert str(got.value) == str(want.value)
+
+
+def test_written_file_is_the_text_and_a_newline(tmp_path):
+    obj = {"Sigma": encode_complex_matrix(np.eye(2) * (0.5 + 1j)), "dim": 2}
+    text = dump_json(obj, str(tmp_path / "x.json"))
+    assert text == oracle(obj)
+    assert (tmp_path / "x.json").read_bytes() == (text + "\n").encode()
